@@ -14,10 +14,12 @@ use crate::ctx::GmHandle;
 
 /// The operations every DSE execution engine provides to applications.
 ///
-/// The split-phase entry points (`gm_read_nb`, `gm_write_nb`, `gm_wait`,
-/// `gm_wait_all`) have defaults that degrade to the blocking operations, so
-/// an engine without request pipelining (the live engine, test doubles)
-/// stays correct without extra code: its handles are born complete.
+/// Both engines pipeline split-phase requests through the same
+/// `dse_kernel::client::GmClient`. The split-phase entry points
+/// (`gm_read_nb`, `gm_write_nb`, `gm_wait`, `gm_wait_all`) have defaults
+/// that degrade to the blocking operations, so an implementation without
+/// pipelining (a test double, a wrapper) stays correct without extra code:
+/// its handles are born complete.
 pub trait ParallelApi {
     /// This process's rank in `0..nprocs`.
     fn rank(&self) -> u32;
@@ -52,8 +54,8 @@ pub trait ParallelApi {
     /// writes.
     fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
         match handle.0 {
-            crate::ctx::HandleInner::Ready(data) => data,
-            crate::ctx::HandleInner::Queued(_) => {
+            dse_kernel::client::Issued::Ready(data) => data,
+            dse_kernel::client::Issued::Queued(_) => {
                 unreachable!("queued handle on an engine without pipelining")
             }
         }

@@ -6,14 +6,14 @@
 //! kernels), barriers and locks (coordinated by node 0), point-to-point
 //! user messages, and computation charging.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dse_kernel::cache::{blocks_inside, CACHE_BLOCK};
+use dse_kernel::client::{is_completion, span_kind, Effect, Flush, GmClient, Issued, Step};
 use dse_kernel::kernel::{barrier_enter, lock_acquire, lock_release};
 use dse_kernel::netpath::{charge_local, charge_recv, send_msg};
 use dse_kernel::{ClusterShared, Distribution, GmMode, Party, SimMsg};
-use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId};
 use dse_obs::{MetricKey, SpanKind};
 use dse_platform::Work;
 use dse_sim::{ProcCtx, SimDuration, SimTime};
@@ -28,36 +28,26 @@ pub const AUTO_BARRIER_BASE: u32 = 0x4000_0000;
 /// consumes the handle, so a double wait is impossible at compile time).
 /// Reads yield `Some(bytes)`, writes yield `None`.
 #[derive(Debug)]
-pub struct GmHandle(pub(crate) HandleInner);
-
-#[derive(Debug)]
-pub(crate) enum HandleInner {
-    /// Queued in a `DseCtx`'s staging machinery under this id.
-    Queued(u64),
-    /// Completed at issue time (local fast path, cache hit, or an engine
-    /// without split-phase pipelining).
-    Ready(Option<Vec<u8>>),
-}
+pub struct GmHandle(pub(crate) Issued);
 
 impl GmHandle {
     /// A handle that is already complete (engines without real pipelining
     /// return these from the non-blocking entry points).
     pub fn ready(data: Option<Vec<u8>>) -> GmHandle {
-        GmHandle(HandleInner::Ready(data))
+        GmHandle(Issued::Ready(data))
     }
 
-    /// A handle referring to operation `id` queued in the issuing engine.
-    /// For engines (like the live message-passing engine) that implement
-    /// their own split-phase staging outside `DseCtx`.
+    /// A handle referring to operation `id` queued in the issuing engine's
+    /// [`GmClient`].
     pub fn queued(id: u64) -> GmHandle {
-        GmHandle(HandleInner::Queued(id))
+        GmHandle(Issued::Queued(id))
     }
 
     /// The queued operation id, or `None` if the handle was born ready.
     pub fn queued_id(&self) -> Option<u64> {
         match self.0 {
-            HandleInner::Queued(id) => Some(id),
-            HandleInner::Ready(_) => None,
+            Issued::Queued(id) => Some(id),
+            Issued::Ready(_) => None,
         }
     }
 
@@ -66,75 +56,16 @@ impl GmHandle {
     /// resolve those through its own wait path.
     pub fn into_ready(self) -> Option<Vec<u8>> {
         match self.0 {
-            HandleInner::Ready(data) => data,
-            HandleInner::Queued(id) => panic!("handle {id} is still queued, not ready"),
+            Issued::Ready(data) => data,
+            Issued::Queued(id) => panic!("handle {id} is still queued, not ready"),
         }
     }
 }
 
-/// Where a completed read segment's bytes land: `len` bytes at absolute
-/// region offset `abs_off` copy into `handle`'s buffer at `buf_off`.
-#[derive(Clone, Copy)]
-struct ReadDest {
-    handle: u64,
-    buf_off: usize,
-    abs_off: u64,
-    len: usize,
-}
-
-/// Bookkeeping for one read request on the wire (plain or inside a batch).
-struct ReadCtl {
-    region: RegionId,
-    offset: u64,
-    len: usize,
-    /// Cache blocks (absolute ids) to install from the response.
-    install: Vec<u64>,
-    dests: Vec<ReadDest>,
-}
-
-/// Bookkeeping for one write request on the wire: the handles it completes.
-struct WriteCtl {
-    writers: Vec<u64>,
-}
-
-/// One staged (not yet sent) split-phase segment.
-struct StagedSeg {
-    home: NodeId,
-    region: RegionId,
-    offset: u64,
-    kind: SegKind,
-}
-
-enum SegKind {
-    Read {
-        len: usize,
-        install: Vec<u64>,
-        dests: Vec<ReadDest>,
-    },
-    Write {
-        data: Vec<u8>,
-        writers: Vec<u64>,
-    },
-}
-
-/// An issued request awaiting its response, keyed by correlation id.
-enum InflightReq {
-    Read(ReadCtl),
-    Write(WriteCtl),
-    Batch(Vec<InflightOp>),
-}
-
-enum InflightOp {
-    Read(ReadCtl),
-    Write(WriteCtl),
-}
-
-/// A split-phase handle's outstanding work.
-struct HandleState {
-    /// Segments (staged or in flight) still owed to this handle.
-    remaining: usize,
-    /// Read destination buffer (`None` for writes).
-    buf: Option<Vec<u8>>,
+impl From<Issued> for GmHandle {
+    fn from(issued: Issued) -> GmHandle {
+        GmHandle(issued)
+    }
 }
 
 /// A received user message.
@@ -155,18 +86,12 @@ pub struct DseCtx<'a> {
     rank: u32,
     pid: GlobalPid,
     node: NodeId,
-    reqs: ReqIdGen,
     barrier_seq: u32,
     alloc_seq: usize,
     /// Messages that arrived while awaiting something else (user data).
     stash: VecDeque<(NodeId, Message)>,
-    /// Split-phase machinery: handle ids, outstanding handles, redeemed
-    /// results, staged (coalescable) segments, and requests on the wire.
-    next_handle: u64,
-    handles: HashMap<u64, HandleState>,
-    completed: HashMap<u64, Option<Vec<u8>>>,
-    staged: Vec<StagedSeg>,
-    inflight: HashMap<u64, InflightReq>,
+    /// The split-phase GM client (it also hands out request ids).
+    client: GmClient,
     /// Reusable scratch for element-wise `GmArray` accessors.
     scratch: Vec<u8>,
 }
@@ -180,21 +105,17 @@ impl<'a> DseCtx<'a> {
         pid: GlobalPid,
     ) -> DseCtx<'a> {
         let node = pid.node();
+        let client = GmClient::new(node, shared.config.gm_window);
         DseCtx {
             ctx,
             shared,
             rank,
             pid,
             node,
-            reqs: ReqIdGen::new(),
             barrier_seq: 0,
             alloc_seq: 0,
             stash: VecDeque::new(),
-            next_handle: 0,
-            handles: HashMap::new(),
-            completed: HashMap::new(),
-            staged: Vec::new(),
-            inflight: HashMap::new(),
+            client,
             scratch: Vec::new(),
         }
     }
@@ -281,7 +202,7 @@ impl<'a> DseCtx<'a> {
     /// [`DseCtx::gm_read_nb`]), so the blocking and non-blocking paths share
     /// one code path and produce identical bytes.
     pub fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
-        let h = self.issue_read(region, offset, len, true);
+        let h = self.issue(region, offset, len, None, true);
         self.gm_wait(h).expect("gm_read handle carries data")
     }
 
@@ -313,7 +234,7 @@ impl<'a> DseCtx<'a> {
     /// request; staged work reaches the wire when the pipelining window
     /// fills, a handle is waited on, or a synchronization point fences.
     pub fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
-        self.issue_read(region, offset, len, false)
+        self.issue(region, offset, len, None, false)
     }
 
     /// Take the context's reusable scratch buffer (element accessors use
@@ -328,223 +249,52 @@ impl<'a> DseCtx<'a> {
         self.scratch = buf;
     }
 
-    /// Issue a read. `eager` sends every staged segment as soon as it is
-    /// staged — the blocking compatibility mode, which keeps the wire
-    /// schedule identical to the historical blocking implementation.
-    ///
-    /// The handle is registered (buffer included) *before* any segment is
-    /// staged, because window backpressure may drain completions for this
-    /// very handle mid-issue; an issuance token in `remaining` keeps it
-    /// from completing until every segment is staged.
-    fn issue_read(&mut self, region: RegionId, offset: u64, len: usize, eager: bool) -> GmHandle {
-        let runs = self
-            .shared
-            .store
-            .split_by_home(region, offset, len)
-            .unwrap_or_else(|e| panic!("rank {}: gm_read failed: {e}", self.rank));
-        let cache_on = self.shared.config.gm_cache;
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: Some(vec![0u8; len]),
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            if home == self.node {
-                charge_local(self.ctx, &self.shared, self.node, rlen);
-                {
-                    let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                    self.shared
-                        .store
-                        .read_into(region, off, &mut buf[buf_off..buf_off + rlen])
-                        .unwrap();
-                }
-                self.shared.stats.update(self.node, |s| {
-                    s.gm_local_reads += 1;
-                    s.gm_bytes_read += rlen as u64;
-                });
-                continue;
-            }
-            if !cache_on {
-                self.handles.get_mut(&handle).unwrap().remaining += 1;
-                self.stage_read(home, region, off, rlen, Vec::new(), handle, buf_off, eager);
-                continue;
-            }
-            // Cached remote read: serve full blocks from the local cache
-            // where possible; merge the misses and the unaligned edge
-            // fragments into as few fetches as possible.
-            let end = off + rlen as u64;
-            let full = blocks_inside(off, rlen);
-            let bsz = CACHE_BLOCK as u64;
-            struct Fetch {
-                off: u64,
-                len: usize,
-                install: Vec<u64>,
-            }
-            let mut fetches: Vec<Fetch> = Vec::new();
-            let mut cur: Option<Fetch> = None;
-            let add_fetch = |cur: &mut Option<Fetch>, s: u64, e: u64, blk: Option<u64>| match cur {
-                Some(f) => {
-                    f.len += (e - s) as usize;
-                    if let Some(b) = blk {
-                        f.install.push(b);
-                    }
-                }
-                None => {
-                    *cur = Some(Fetch {
-                        off: s,
-                        len: (e - s) as usize,
-                        install: blk.into_iter().collect(),
-                    })
-                }
-            };
-            if full.is_empty() {
-                // A sub-block read (e.g. a single-element `get`) is still
-                // served from a replica installed by an earlier
-                // block-covering read, as long as it lies inside one block.
-                let b = off / bsz;
-                let served = end <= (b + 1) * bsz
-                    && match self.shared.cache.get(self.node, region, b) {
-                        Some(data) => {
-                            charge_local(self.ctx, &self.shared, self.node, rlen);
-                            self.shared.stats.update(self.node, |s| {
-                                s.cache_hits += 1;
-                                s.dir_hits += 1;
-                            });
-                            let s0 = (off - b * bsz) as usize;
-                            let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                            buf[buf_off..buf_off + rlen].copy_from_slice(&data[s0..s0 + rlen]);
-                            true
-                        }
-                        None => false,
-                    };
-                if !served {
-                    add_fetch(&mut cur, off, end, None);
-                }
-            } else {
-                if off < full.start * bsz {
-                    add_fetch(&mut cur, off, full.start * bsz, None);
-                }
-                for b in full.clone() {
-                    if let Some(data) = self.shared.cache.get(self.node, region, b) {
-                        // Hit: a library call plus a block copy, no wire.
-                        charge_local(self.ctx, &self.shared, self.node, CACHE_BLOCK);
-                        self.shared.stats.update(self.node, |s| {
-                            s.cache_hits += 1;
-                            s.dir_hits += 1;
-                        });
-                        let bo = (b * bsz - offset) as usize;
-                        let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                        buf[bo..bo + CACHE_BLOCK].copy_from_slice(&data);
-                        if let Some(f) = cur.take() {
-                            fetches.push(f);
-                        }
-                    } else {
-                        self.shared.stats.update(self.node, |s| {
-                            s.cache_misses += 1;
-                            s.dir_misses += 1;
-                        });
-                        add_fetch(&mut cur, b * bsz, (b + 1) * bsz, Some(b));
-                    }
-                }
-                if full.end * bsz < end {
-                    add_fetch(&mut cur, full.end * bsz, end, None);
-                }
-            }
-            if let Some(f) = cur.take() {
-                fetches.push(f);
-            }
-            for f in fetches {
-                self.handles.get_mut(&handle).unwrap().remaining += 1;
-                let bo = (f.off - offset) as usize;
-                self.stage_read(home, region, f.off, f.len, f.install, handle, bo, eager);
-            }
-        }
-        self.release_issuance_token(handle)
-    }
-
-    /// Release the token [`DseCtx::issue_read`]/[`DseCtx::issue_write`]
-    /// hold while staging: if every segment already completed (or none was
-    /// needed), the handle is born ready.
-    fn release_issuance_token(&mut self, handle: u64) -> GmHandle {
-        let st = self.handles.get_mut(&handle).unwrap();
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            let st = self.handles.remove(&handle).unwrap();
-            GmHandle(HandleInner::Ready(st.buf))
-        } else {
-            GmHandle(HandleInner::Queued(handle))
-        }
-    }
-
-    /// Stage one remote read segment, coalescing with the most recently
-    /// staged segment when both target the same home and region and their
-    /// ranges touch or overlap (so a merged segment is always contiguous and
-    /// program order among staged operations is preserved).
-    #[allow(clippy::too_many_arguments)]
-    fn stage_read(
+    /// Issue a read (`write` = `None`) or a write through the GM client,
+    /// doing the simulator's part at every step: charge own-node accesses
+    /// and replica hits, apply own-node writes with their coherence round.
+    /// `eager` sends every staged segment as soon as it is staged — the
+    /// blocking compatibility mode, which keeps the wire schedule identical
+    /// to the historical blocking implementation.
+    fn issue(
         &mut self,
-        home: NodeId,
         region: RegionId,
-        off: u64,
+        offset: u64,
         len: usize,
-        install: Vec<u64>,
-        handle: u64,
-        buf_off: usize,
+        write: Option<&[u8]>,
         eager: bool,
-    ) {
-        let end = off + len as u64;
-        let dest = ReadDest {
-            handle,
-            buf_off,
-            abs_off: off,
-            len,
-        };
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Read {
-                    len: slen,
-                    install: sinstall,
-                    dests,
-                } = &mut seg.kind
-                {
-                    let seg_end = seg.offset + *slen as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        seg.offset = new_start;
-                        *slen = (new_end - new_start) as usize;
-                        for &b in &install {
-                            if !sinstall.contains(&b) {
-                                sinstall.push(b);
-                            }
-                        }
-                        dests.push(dest);
-                        merged = true;
-                    }
+    ) -> GmHandle {
+        let cache_on = self.shared.config.gm_cache;
+        let (store, cache) = (&self.shared.store, cache_on.then_some(&self.shared.cache));
+        let mut is = self
+            .client
+            .issue(store, cache, region, offset, len, write, 0);
+        loop {
+            let cache = cache_on.then_some(&self.shared.cache);
+            match self.client.step(&mut is, &self.shared.store, cache) {
+                Step::LocalRead(n) => {
+                    charge_local(self.ctx, &self.shared, self.node, n);
+                    self.shared.stats.update(self.node, |s| {
+                        s.gm_local_reads += 1;
+                        s.gm_bytes_read += n as u64;
+                    });
                 }
+                Step::LocalWrite { offset, at, len } => {
+                    if cache_on {
+                        self.coherent_local_write(region, offset, len);
+                    }
+                    charge_local(self.ctx, &self.shared, self.node, len);
+                    let data = &write.expect("a write issue")[at..at + len];
+                    self.shared.store.write(region, offset, data).unwrap();
+                    self.shared.stats.update(self.node, |s| {
+                        s.gm_local_writes += 1;
+                        s.gm_bytes_written += len as u64;
+                    });
+                }
+                Step::Hit(n) => charge_local(self.ctx, &self.shared, self.node, n),
+                Step::Staged if eager => self.flush(),
+                Step::Staged => {}
+                Step::Done(issued) => return issued.into(),
             }
-        }
-        if merged {
-            self.shared.stats.update(self.node, |s| s.gm_coalesced += 1);
-        } else {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Read {
-                    len,
-                    install,
-                    dests: vec![dest],
-                },
-            });
-        }
-        if eager {
-            self.flush_staged();
         }
     }
 
@@ -572,8 +322,7 @@ impl<'a> DseCtx<'a> {
     /// their acknowledgements (the local-write half of the write-invalidate
     /// protocol; remote writes are handled by the home kernel).
     fn invalidate_for_local_write(&mut self, region: RegionId, offset: u64, len: usize) {
-        let txn = self.reqs.next();
-        let me = self.ctx.id();
+        let txn = self.client.next_req();
         charge_local(self.ctx, &self.shared, self.node, 0);
         let holders = self
             .shared
@@ -597,16 +346,14 @@ impl<'a> DseCtx<'a> {
             self.shared
                 .stats
                 .update(self.node, |s| s.cache_invalidations += 1);
-            let kproc = self.shared.kernel_of(h);
-            send_msg(self.ctx, &self.shared, self.node, h, kproc, me, &inv);
+            self.send_kernel(h, &inv);
             awaiting += 1;
         }
-        while awaiting > 0 {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::GmInvalidateAck { req } if req == txn => awaiting -= 1,
-                other => self.stash.push_back((from, other)),
-            }
+        for _ in 0..awaiting {
+            self.recv_until(|m| match m {
+                Message::GmInvalidateAck { req } if req == txn => Ok(()),
+                other => Err(other),
+            });
         }
     }
 
@@ -615,7 +362,7 @@ impl<'a> DseCtx<'a> {
     /// Like [`DseCtx::gm_read`], this is issue-plus-wait over the
     /// split-phase machinery shared with [`DseCtx::gm_write_nb`].
     pub fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        let h = self.issue_write(region, offset, data, true);
+        let h = self.issue(region, offset, data.len(), Some(data), true);
         self.gm_wait(h);
     }
 
@@ -624,105 +371,7 @@ impl<'a> DseCtx<'a> {
     /// coalesce into one request (later bytes win on overlap), and staged
     /// operations bound for the same home travel as one batched message.
     pub fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
-        self.issue_write(region, offset, data, false)
-    }
-
-    fn issue_write(&mut self, region: RegionId, offset: u64, data: &[u8], eager: bool) -> GmHandle {
-        let runs = self
-            .shared
-            .store
-            .split_by_home(region, offset, data.len())
-            .unwrap_or_else(|e| panic!("rank {}: gm_write failed: {e}", self.rank));
-        let cache_on = self.shared.config.gm_cache;
-        if cache_on {
-            // A writer's own copies of the written range go stale too.
-            self.shared
-                .cache
-                .drop_range(self.node, region, offset, data.len());
-        }
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: None,
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            let chunk = &data[buf_off..buf_off + rlen];
-            if home == self.node {
-                if cache_on {
-                    self.coherent_local_write(region, off, rlen);
-                }
-                charge_local(self.ctx, &self.shared, self.node, rlen);
-                self.shared.store.write(region, off, chunk).unwrap();
-                self.shared.stats.update(self.node, |s| {
-                    s.gm_local_writes += 1;
-                    s.gm_bytes_written += rlen as u64;
-                });
-            } else {
-                self.handles.get_mut(&handle).unwrap().remaining += 1;
-                self.stage_write(home, region, off, chunk.to_vec(), handle, eager);
-            }
-        }
-        self.release_issuance_token(handle)
-    }
-
-    /// Stage one remote write segment; coalesces with the most recently
-    /// staged segment under the same conditions as [`DseCtx::stage_read`].
-    /// On overlap the later write's bytes win, preserving program order.
-    fn stage_write(
-        &mut self,
-        home: NodeId,
-        region: RegionId,
-        off: u64,
-        data: Vec<u8>,
-        handle: u64,
-        eager: bool,
-    ) {
-        let end = off + data.len() as u64;
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Write {
-                    data: sdata,
-                    writers,
-                } = &mut seg.kind
-                {
-                    let seg_end = seg.offset + sdata.len() as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        let mut union = vec![0u8; (new_end - new_start) as usize];
-                        let old_at = (seg.offset - new_start) as usize;
-                        union[old_at..old_at + sdata.len()].copy_from_slice(sdata);
-                        let new_at = (off - new_start) as usize;
-                        union[new_at..new_at + data.len()].copy_from_slice(&data);
-                        *sdata = union;
-                        seg.offset = new_start;
-                        writers.push(handle);
-                        merged = true;
-                    }
-                }
-            }
-        }
-        if merged {
-            self.shared.stats.update(self.node, |s| s.gm_coalesced += 1);
-        } else {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Write {
-                    data,
-                    writers: vec![handle],
-                },
-            });
-        }
-        if eager {
-            self.flush_staged();
-        }
+        self.issue(region, offset, data.len(), Some(data), false)
     }
 
     /// Redeem a split-phase handle: flushes any staged work, then drains
@@ -735,22 +384,17 @@ impl<'a> DseCtx<'a> {
     /// [`DseCtx::gm_wait_all`].
     pub fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
         let id = match handle.0 {
-            HandleInner::Ready(data) => return data,
-            HandleInner::Queued(id) => id,
+            Issued::Ready(data) => return data,
+            Issued::Queued(id) => id,
         };
-        if let Some(data) = self.completed.remove(&id) {
+        if let Some(data) = self.client.redeem(id) {
             return data;
         }
-        assert!(
-            self.handles.contains_key(&id),
-            "rank {}: gm_wait on a stale handle (result discarded by gm_wait_all)",
-            self.rank
-        );
-        self.flush_staged();
-        while !self.completed.contains_key(&id) {
+        self.flush();
+        while !self.client.is_complete(id) {
             self.drain_one();
         }
-        self.completed.remove(&id).unwrap()
+        self.client.redeem(id).unwrap()
     }
 
     /// Complete every outstanding split-phase operation and *discard* any
@@ -759,7 +403,7 @@ impl<'a> DseCtx<'a> {
     /// `gm_write_nb` calls whose handles are not individually interesting.
     pub fn gm_wait_all(&mut self) {
         self.gm_fence();
-        self.completed.clear();
+        self.client.discard_completed();
     }
 
     /// Release-consistency *release*: flush and complete all split-phase GM
@@ -798,171 +442,76 @@ impl<'a> DseCtx<'a> {
     /// before barriers, locks, atomics and sends; with nothing outstanding
     /// this is free.
     fn gm_fence(&mut self) {
-        self.flush_staged();
-        while !self.inflight.is_empty() {
+        self.flush();
+        while self.client.has_inflight() {
             self.drain_one();
         }
     }
 
-    fn new_handle(&mut self) -> u64 {
-        self.next_handle += 1;
-        self.next_handle
-    }
-
-    /// Send every staged segment: one plain request per singleton home
-    /// group, one batched request per multi-segment home group (preserving
-    /// staging order within the batch).
-    fn flush_staged(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let staged = std::mem::take(&mut self.staged);
-        // Group by home node, preserving first-appearance order.
-        let mut groups: Vec<(NodeId, Vec<StagedSeg>)> = Vec::new();
-        for seg in staged {
-            match groups.iter_mut().find(|(h, _)| *h == seg.home) {
-                Some((_, v)) => v.push(seg),
-                None => groups.push((seg.home, vec![seg])),
-            }
-        }
-        for (home, mut segs) in groups {
-            if segs.len() == 1 {
-                self.send_plain(home, segs.pop().unwrap());
-            } else {
-                self.send_batch(home, segs);
-            }
-        }
-    }
-
-    fn send_plain(&mut self, home: NodeId, seg: StagedSeg) {
-        self.window_backpressure();
-        let req = self.reqs.next();
-        let (msg, kind, bytes, ctl) = match seg.kind {
-            SegKind::Read {
-                len,
-                install,
-                dests,
-            } => (
-                Message::GmReadReq {
-                    req,
-                    region: seg.region,
-                    offset: seg.offset,
-                    len: len as u32,
-                },
-                SpanKind::GmRead,
-                len as u64,
-                InflightReq::Read(ReadCtl {
-                    region: seg.region,
-                    offset: seg.offset,
-                    len,
-                    install,
-                    dests,
-                }),
-            ),
-            SegKind::Write { data, writers } => {
-                let blen = data.len() as u64;
-                (
-                    Message::GmWriteReq {
-                        req,
-                        region: seg.region,
-                        offset: seg.offset,
-                        data: data.into(),
-                    },
-                    SpanKind::GmWrite,
-                    blen,
-                    InflightReq::Write(WriteCtl { writers }),
-                )
-            }
-        };
-        self.dispatch(home, req, msg, kind, bytes, ctl);
-    }
-
-    fn send_batch(&mut self, home: NodeId, segs: Vec<StagedSeg>) {
-        self.window_backpressure();
-        let req = self.reqs.next();
-        let mut ops = Vec::with_capacity(segs.len());
-        let mut ctls = Vec::with_capacity(segs.len());
-        let mut bytes = 0u64;
-        for seg in segs {
-            match seg.kind {
-                SegKind::Read {
-                    len,
-                    install,
-                    dests,
-                } => {
-                    bytes += len as u64;
-                    ops.push(GmOp::Read {
-                        region: seg.region,
-                        offset: seg.offset,
-                        len: len as u32,
-                    });
-                    ctls.push(InflightOp::Read(ReadCtl {
-                        region: seg.region,
-                        offset: seg.offset,
-                        len,
-                        install,
-                        dests,
-                    }));
+    /// Send every staged segment, draining completions whenever the
+    /// pipelining window is full, then publish the client's counts. Every
+    /// access that sends, every fence and the process finish flush, so
+    /// counts of born-ready accesses (replica hits) lag by at most one
+    /// flush.
+    fn flush(&mut self) {
+        loop {
+            match self.client.poll_flush(0) {
+                Flush::Send(r) => {
+                    let kind = span_kind(&r.msg);
+                    self.open_span(kind, r.req.0, r.bytes);
+                    self.send_spanned(r.home, kind, r.req.0, &r.msg);
                 }
-                SegKind::Write { data, writers } => {
-                    bytes += data.len() as u64;
-                    ctls.push(InflightOp::Write(WriteCtl { writers }));
-                    ops.push(GmOp::Write {
-                        region: seg.region,
-                        offset: seg.offset,
-                        data: data.into(),
-                    });
-                }
+                Flush::WindowFull => self.drain_one(),
+                Flush::Done => break,
             }
         }
-        let msg = Message::GmBatchReq { req, ops };
-        self.dispatch(
-            home,
-            req,
-            msg,
-            SpanKind::GmBatch,
-            bytes,
-            InflightReq::Batch(ctls),
-        );
+        self.publish();
     }
 
-    /// Open the span, send the request, and account for it in the in-flight
-    /// window (`kernel/gm_request_msgs` counter, `kernel/gm_inflight`
-    /// high-water gauge).
-    fn dispatch(
-        &mut self,
-        home: NodeId,
-        req: ReqId,
-        msg: Message,
-        kind: SpanKind,
-        bytes: u64,
-        ctl: InflightReq,
-    ) {
+    /// Open this rank's span `(kind, seq)` now.
+    fn open_span(&mut self, kind: SpanKind, seq: u64, bytes: u64) {
+        let now = self.ctx.now().as_nanos();
+        self.shared
+            .spans
+            .open(kind, self.node.0 as u32, seq, now, bytes);
+    }
+
+    /// Send `msg` to node `to`'s kernel; returns the wire time.
+    fn send_kernel(&mut self, to: NodeId, msg: &Message) -> SimDuration {
+        let (kproc, me) = (self.shared.kernel_of(to), self.ctx.id());
+        send_msg(self.ctx, &self.shared, self.node, to, kproc, me, msg)
+    }
+
+    /// Send `msg` to `to`'s kernel, noting the wire time on span
+    /// `(kind, seq)`.
+    fn send_spanned(&mut self, to: NodeId, kind: SpanKind, seq: u64, msg: &Message) {
+        let wire = self.send_kernel(to, msg);
         let pe = self.node.0 as u32;
-        let kproc = self.shared.kernel_of(home);
-        let reply = self.ctx.id();
-        self.shared
-            .spans
-            .open(kind, pe, req.0, self.ctx.now().as_nanos(), bytes);
-        let wire = send_msg(self.ctx, &self.shared, self.node, home, kproc, reply, &msg);
-        self.shared
-            .spans
-            .note_wire(kind, pe, req.0, wire.as_nanos());
-        self.shared
-            .stats
-            .update(self.node, |s| s.gm_request_msgs += 1);
-        self.inflight.insert(req.0, ctl);
-        let machine = self.shared.machine_of(self.node) as u32;
-        self.shared.metrics.gauge_max(
-            MetricKey::pe("kernel", "gm_inflight", pe).on_machine(machine),
-            self.inflight.len() as u64,
-        );
+        self.shared.spans.note_wire(kind, pe, seq, wire.as_nanos());
     }
 
-    /// Block until another request would fit in the pipelining window.
-    fn window_backpressure(&mut self) {
-        while self.inflight.len() >= self.shared.config.gm_window {
-            self.drain_one();
+    /// Close this rank's span `(kind, seq)` and record its time as metric
+    /// `group/name`.
+    fn close_span(&mut self, kind: SpanKind, seq: u64, group: &'static str, name: &'static str) {
+        let pe = self.node.0 as u32;
+        let now = self.ctx.now().as_nanos();
+        if let Some(rec) = self.shared.spans.close(kind, pe, seq, now) {
+            let key = MetricKey::pe(group, name, pe);
+            self.shared.metrics.record(key, rec.total_ns());
+            self.shared.flight.span(&rec);
+        }
+    }
+
+    /// Publish the client's counts to the kernel stats cell and the
+    /// `kernel/gm_inflight` high-water gauge.
+    fn publish(&mut self) {
+        let (counts, peak) = self.client.take_counters();
+        self.shared.stats.update(self.node, |s| s.merge(&counts));
+        if peak > 0 {
+            let pe = self.node.0 as u32;
+            let machine = self.shared.machine_of(self.node) as u32;
+            let key = MetricKey::pe("kernel", "gm_inflight", pe).on_machine(machine);
+            self.shared.metrics.gauge_max(key, peak);
         }
     }
 
@@ -970,118 +519,33 @@ impl<'a> DseCtx<'a> {
     /// drain parked one there, otherwise from the wire (stashing unrelated
     /// messages for their own waiters).
     fn drain_one(&mut self) {
-        if let Some(idx) = self.stash.iter().position(|(_, m)| {
-            matches!(
-                m,
-                Message::GmReadResp { .. }
-                    | Message::GmWriteAck { .. }
-                    | Message::GmBatchResp { .. }
-            )
-        }) {
-            let (_, msg) = self.stash.remove(idx).unwrap();
-            self.process_completion(msg);
-            return;
-        }
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::GmReadResp { .. }
-                | Message::GmWriteAck { .. }
-                | Message::GmBatchResp { .. } => {
-                    self.process_completion(msg);
-                    return;
-                }
-                other => self.stash.push_back((from, other)),
-            }
-        }
+        let msg = match self.stash.iter().position(|(_, m)| is_completion(m)) {
+            Some(idx) => self.stash.remove(idx).unwrap().1,
+            None => self.recv_until(|m| if is_completion(&m) { Ok(m) } else { Err(m) }),
+        };
+        self.process_completion(msg);
     }
 
+    /// Close the request's span, then let the client apply the response;
+    /// replicas the read fetched install at once.
     fn process_completion(&mut self, msg: Message) {
-        let pe = self.node.0 as u32;
-        let now = self.ctx.now().as_nanos();
-        match msg {
-            Message::GmReadResp { req, data } => {
-                self.close_gm_span(SpanKind::GmRead, pe, req.0, now, "remote_read_ns");
-                let ctl = match self.inflight.remove(&req.0) {
-                    Some(InflightReq::Read(c)) => c,
-                    _ => panic!("unmatched GmReadResp correlation id"),
-                };
-                self.complete_read(ctl, &data);
-            }
-            Message::GmWriteAck { req } => {
-                self.close_gm_span(SpanKind::GmWrite, pe, req.0, now, "remote_write_ns");
-                let ctl = match self.inflight.remove(&req.0) {
-                    Some(InflightReq::Write(c)) => c,
-                    _ => panic!("unmatched GmWriteAck correlation id"),
-                };
-                self.complete_write(ctl);
-            }
-            Message::GmBatchResp { req, reads } => {
-                self.close_gm_span(SpanKind::GmBatch, pe, req.0, now, "batch_ns");
-                let ops = match self.inflight.remove(&req.0) {
-                    Some(InflightReq::Batch(o)) => o,
-                    _ => panic!("unmatched GmBatchResp correlation id"),
-                };
-                let mut it = reads.into_iter();
-                for op in ops {
-                    match op {
-                        InflightOp::Read(c) => {
-                            let data = it.next().expect("missing batched read result");
-                            self.complete_read(c, &data);
-                        }
-                        InflightOp::Write(c) => self.complete_write(c),
-                    }
+        let (kind, metric, req) = match &msg {
+            Message::GmReadResp { req, .. } => (SpanKind::GmRead, "remote_read_ns", req.0),
+            Message::GmWriteAck { req } => (SpanKind::GmWrite, "remote_write_ns", req.0),
+            Message::GmBatchResp { req, .. } => (SpanKind::GmBatch, "batch_ns", req.0),
+            _ => unreachable!("process_completion on a non-GM message"),
+        };
+        self.close_span(kind, req, "gm", metric);
+        let (shared, node) = (&self.shared, self.node);
+        let done = self.client.complete(msg, |e| {
+            if let Effect::Install(i) = e {
+                for (b, data) in i.blocks() {
+                    shared.cache.install(node, i.region, b, data.to_vec());
                 }
             }
-            _ => unreachable!("process_completion on a non-GM message"),
-        }
-    }
-
-    fn close_gm_span(&mut self, kind: SpanKind, pe: u32, seq: u64, now: u64, metric: &'static str) {
-        if let Some(rec) = self.shared.spans.close(kind, pe, seq, now) {
-            self.shared
-                .metrics
-                .record(MetricKey::pe("gm", metric, pe), rec.total_ns());
-            self.shared.flight.span(&rec);
-        }
-    }
-
-    /// Distribute one completed read request's bytes to every destination
-    /// handle, installing any cache blocks the request fetched.
-    fn complete_read(&mut self, ctl: ReadCtl, data: &[u8]) {
-        assert_eq!(data.len(), ctl.len, "short remote read");
-        for &b in &ctl.install {
-            let lo = (b * CACHE_BLOCK as u64 - ctl.offset) as usize;
-            let chunk = data[lo..lo + CACHE_BLOCK].to_vec();
-            self.shared.cache.install(self.node, ctl.region, b, chunk);
-        }
-        for d in ctl.dests {
-            let h = self
-                .handles
-                .get_mut(&d.handle)
-                .expect("read completion for an unknown handle");
-            let buf = h.buf.as_mut().expect("read handle without a buffer");
-            let src = (d.abs_off - ctl.offset) as usize;
-            buf[d.buf_off..d.buf_off + d.len].copy_from_slice(&data[src..src + d.len]);
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                let st = self.handles.remove(&d.handle).unwrap();
-                self.completed.insert(d.handle, st.buf);
-            }
-        }
-    }
-
-    fn complete_write(&mut self, ctl: WriteCtl) {
-        for w in ctl.writers {
-            let h = self
-                .handles
-                .get_mut(&w)
-                .expect("write completion for an unknown handle");
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                self.handles.remove(&w);
-                self.completed.insert(w, None);
-            }
+        });
+        if let Err(req) = done {
+            panic!("unmatched GM response correlation id {}", req.0);
         }
     }
 
@@ -1103,47 +567,21 @@ impl<'a> DseCtx<'a> {
             self.shared.stats.update(self.node, |s| s.fetch_adds += 1);
             return self.shared.store.fetch_add(region, offset, delta).unwrap();
         }
-        let req = self.reqs.next();
+        let req = self.client.next_req();
         let msg = Message::GmFetchAddReq {
             req,
             region,
             offset,
             delta,
         };
-        let kproc = self.shared.kernel_of(home);
-        let me = self.ctx.id();
-        let pe = self.node.0 as u32;
-        self.shared.spans.open(
-            SpanKind::GmFetchAdd,
-            pe,
-            req.0,
-            self.ctx.now().as_nanos(),
-            8,
-        );
-        let wire = send_msg(self.ctx, &self.shared, self.node, home, kproc, me, &msg);
-        self.shared
-            .spans
-            .note_wire(SpanKind::GmFetchAdd, pe, req.0, wire.as_nanos());
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::GmFetchAddResp { req: r, prev } if r == req => {
-                    if let Some(rec) = self.shared.spans.close(
-                        SpanKind::GmFetchAdd,
-                        pe,
-                        req.0,
-                        self.ctx.now().as_nanos(),
-                    ) {
-                        self.shared
-                            .metrics
-                            .record(MetricKey::pe("gm", "fetch_add_ns", pe), rec.total_ns());
-                        self.shared.flight.span(&rec);
-                    }
-                    return prev;
-                }
-                other => self.stash.push_back((from, other)),
-            }
-        }
+        self.open_span(SpanKind::GmFetchAdd, req.0, 8);
+        self.send_spanned(home, SpanKind::GmFetchAdd, req.0, &msg);
+        let prev = self.recv_until(|m| match m {
+            Message::GmFetchAddResp { req: r, prev } if r == req => Ok(prev),
+            other => Err(other),
+        });
+        self.close_span(SpanKind::GmFetchAdd, req.0, "gm", "fetch_add_ns");
+        prev
     }
 
     // ----- synchronization -------------------------------------------------
@@ -1170,75 +608,41 @@ impl<'a> DseCtx<'a> {
             reply_to: self.ctx.id(),
             req: ReqId(0),
         };
-        let pe = self.node.0 as u32;
-        self.shared.spans.open(
-            SpanKind::Barrier,
-            pe,
-            id as u64,
-            self.ctx.now().as_nanos(),
-            0,
-        );
-        if self.node == NodeId(0) {
-            // Own-node path into the coordination state.
+        self.open_span(SpanKind::Barrier, id as u64, 0);
+        // Node 0 enters through the own-node path into the coordination
+        // state; a barrier it completes needs no release message.
+        let released = if self.node == NodeId(0) {
             charge_local(self.ctx, &self.shared, self.node, 16);
-            if barrier_enter(self.ctx, &self.shared, NodeId(0), id, party).is_some() {
-                self.finish_barrier_span(pe, id);
-                self.acquire_replicas();
-                return;
-            }
+            barrier_enter(self.ctx, &self.shared, NodeId(0), id, party).is_some()
         } else {
             let msg = Message::BarrierEnter {
                 barrier: id,
                 pid: self.pid,
             };
-            let k0 = self.shared.kernel_of(NodeId(0));
-            let me = self.ctx.id();
-            let wire = send_msg(self.ctx, &self.shared, self.node, NodeId(0), k0, me, &msg);
-            self.shared
-                .spans
-                .note_wire(SpanKind::Barrier, pe, id as u64, wire.as_nanos());
+            self.send_spanned(NodeId(0), SpanKind::Barrier, id as u64, &msg);
+            false
+        };
+        if !released {
+            self.recv_until(|m| match m {
+                Message::BarrierRelease { barrier, .. } if barrier == id => Ok(()),
+                other => Err(other),
+            });
         }
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::BarrierRelease { barrier, .. } if barrier == id => {
-                    self.finish_barrier_span(pe, id);
-                    self.acquire_replicas();
-                    return;
-                }
-                other => self.stash.push_back((from, other)),
-            }
-        }
-    }
-
-    /// Close this rank's span for barrier `id` and record the wait time.
-    fn finish_barrier_span(&mut self, pe: u32, id: u32) {
-        if let Some(rec) =
-            self.shared
-                .spans
-                .close(SpanKind::Barrier, pe, id as u64, self.ctx.now().as_nanos())
-        {
-            self.shared
-                .metrics
-                .record(MetricKey::pe("sync", "barrier_wait_ns", pe), rec.total_ns());
-            self.shared.flight.span(&rec);
-        }
+        self.close_span(SpanKind::Barrier, id as u64, "sync", "barrier_wait_ns");
+        self.acquire_replicas();
     }
 
     /// Acquire a cluster-wide lock (FIFO).
     pub fn lock(&mut self, id: u32) {
         self.gm_fence();
-        let req = self.reqs.next();
+        let req = self.client.next_req();
         let party = Party {
             pid: self.pid,
             node: self.node,
             reply_to: self.ctx.id(),
             req,
         };
-        let pe = self.node.0 as u32;
-        self.shared
-            .spans
-            .open(SpanKind::Lock, pe, req.0, self.ctx.now().as_nanos(), 0);
+        self.open_span(SpanKind::Lock, req.0, 0);
         if self.node == NodeId(0) {
             charge_local(self.ctx, &self.shared, self.node, 16);
             lock_acquire(self.ctx, &self.shared, NodeId(0), id, party);
@@ -1248,36 +652,16 @@ impl<'a> DseCtx<'a> {
                 lock: id,
                 pid: self.pid,
             };
-            let k0 = self.shared.kernel_of(NodeId(0));
-            let me = self.ctx.id();
-            let wire = send_msg(self.ctx, &self.shared, self.node, NodeId(0), k0, me, &msg);
-            self.shared
-                .spans
-                .note_wire(SpanKind::Lock, pe, req.0, wire.as_nanos());
+            self.send_spanned(NodeId(0), SpanKind::Lock, req.0, &msg);
         }
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::LockGrant { req: r, .. } if r == req => {
-                    if let Some(rec) = self.shared.spans.close(
-                        SpanKind::Lock,
-                        pe,
-                        req.0,
-                        self.ctx.now().as_nanos(),
-                    ) {
-                        self.shared
-                            .metrics
-                            .record(MetricKey::pe("sync", "lock_wait_ns", pe), rec.total_ns());
-                        self.shared.flight.span(&rec);
-                    }
-                    // A lock grant is an acquire point: the holder must see
-                    // everything released by the previous holder's unlock.
-                    self.acquire_replicas();
-                    return;
-                }
-                other => self.stash.push_back((from, other)),
-            }
-        }
+        self.recv_until(|m| match m {
+            Message::LockGrant { req: r, .. } if r == req => Ok(()),
+            other => Err(other),
+        });
+        self.close_span(SpanKind::Lock, req.0, "sync", "lock_wait_ns");
+        // A lock grant is an acquire point: the holder must see everything
+        // released by the previous holder's unlock.
+        self.acquire_replicas();
     }
 
     /// Release a cluster-wide lock this process holds.
@@ -1291,9 +675,7 @@ impl<'a> DseCtx<'a> {
                 lock: id,
                 pid: self.pid,
             };
-            let k0 = self.shared.kernel_of(NodeId(0));
-            let me = self.ctx.id();
-            send_msg(self.ctx, &self.shared, self.node, NodeId(0), k0, me, &msg);
+            self.send_kernel(NodeId(0), &msg);
         }
     }
 
@@ -1303,19 +685,12 @@ impl<'a> DseCtx<'a> {
     /// like a UNIX signal). Blocks until the kernel acknowledges.
     pub fn terminate(&mut self, pid: GlobalPid) {
         self.gm_fence();
-        let req = self.reqs.next();
-        let msg = Message::TerminateReq { req, pid };
-        let target = pid.node();
-        let kproc = self.shared.kernel_of(target);
-        let me = self.ctx.id();
-        send_msg(self.ctx, &self.shared, self.node, target, kproc, me, &msg);
-        loop {
-            let (from, msg) = self.recv_runtime();
-            match msg {
-                Message::TerminateAck { req: r } if r == req => return,
-                other => self.stash.push_back((from, other)),
-            }
-        }
+        let req = self.client.next_req();
+        self.send_kernel(pid.node(), &Message::TerminateReq { req, pid });
+        self.recv_until(|m| match m {
+            Message::TerminateAck { req: r } if r == req => Ok(()),
+            other => Err(other),
+        });
     }
 
     // ----- point-to-point messages ------------------------------------------
@@ -1348,15 +723,12 @@ impl<'a> DseCtx<'a> {
             }
             unreachable!()
         }
-        loop {
-            let (from_node, msg) = self.recv_runtime();
-            match msg {
-                Message::UserData { from, tag, data } if want_tag.is_none_or(|t| t == tag) => {
-                    return UserMsg { from, tag, data }
-                }
-                other => self.stash.push_back((from_node, other)),
+        self.recv_until(|m| match m {
+            Message::UserData { from, tag, data } if want_tag.is_none_or(|t| t == tag) => {
+                Ok(UserMsg { from, tag, data })
             }
-        }
+            other => Err(other),
+        })
     }
 
     // ----- internals --------------------------------------------------------
@@ -1371,6 +743,18 @@ impl<'a> DseCtx<'a> {
         charge_recv(self.ctx, &self.shared, self.node, sm.bytes.len());
         let msg = Message::decode(&sm.bytes).expect("undecodable runtime message");
         (sm.from_node, msg)
+    }
+
+    /// Receive runtime messages until `pick` accepts one, stashing the
+    /// messages it hands back for their own waiters.
+    fn recv_until<T>(&mut self, mut pick: impl FnMut(Message) -> Result<T, Message>) -> T {
+        loop {
+            let (from, msg) = self.recv_runtime();
+            match pick(msg) {
+                Ok(t) => return t,
+                Err(other) => self.stash.push_back((from, other)),
+            }
+        }
     }
 
     /// Called by the harness after the body returns: notify the launcher.

@@ -16,13 +16,16 @@
 //!   including the legacy separate-kernel-process organization for the
 //!   paper's "substantial enhancement" comparison.
 //!
-//! The user-facing Parallel API lives in `dse-api`; this crate deliberately
-//! knows nothing about it (the kernel receives application bodies through
-//! the opaque [`kernel::AppFactory`]).
+//! The split-phase GM client every process links ([`client::GmClient`] —
+//! request creation and response analysis, driven by both engines) lives
+//! here too. The user-facing Parallel API lives in `dse-api`; this crate
+//! deliberately knows nothing about it (the kernel receives application
+//! bodies through the opaque [`kernel::AppFactory`]).
 
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod client;
 pub mod config;
 pub mod cost;
 pub mod dedup;
@@ -39,6 +42,7 @@ pub mod task;
 pub mod watchdog;
 
 pub use cache::{CacheStore, CACHE_BLOCK};
+pub use client::GmClient;
 pub use config::{
     DseConfig, GmMode, NetworkChoice, Organization, SchedulerKind, TelemetryConfig,
     DEFAULT_GM_WINDOW,

@@ -7,7 +7,8 @@
 //! directory) or a live thread answering sockets — so it lives here, once.
 //! Engine-specific accounting (cost charging, cache installs, invalidation
 //! rounds, metrics) hangs off the [`GmServiceHooks`] callbacks, which fire
-//! *after* the store operation they describe, in request order.
+//! *after* the store operation they describe, in request order — except
+//! [`GmServiceHooks::before_read`], which fires just before each read.
 
 use dse_msg::{GmOp, Message, RegionId};
 
@@ -15,6 +16,14 @@ use crate::gmem::GlobalStore;
 
 /// Engine-specific side effects of serving a GM request.
 pub trait GmServiceHooks {
+    /// A read of `len` bytes at (`region`, `offset`) is about to touch the
+    /// store. A directory lease granted here is in place before the bytes
+    /// are read, so a concurrent own-node write either lands before the
+    /// read or finds the requester among the holders it invalidates.
+    /// Default: nothing to do.
+    fn before_read(&mut self, region: RegionId, offset: u64, len: usize) {
+        let _ = (region, offset, len);
+    }
     /// A read of `data.len()` bytes at (`region`, `offset`) was executed.
     fn read_executed(&mut self, region: RegionId, offset: u64, data: &[u8]);
     /// A write of `len` bytes at (`region`, `offset`) was executed.
@@ -59,6 +68,7 @@ pub fn serve_gm(store: &GlobalStore, msg: Message, hooks: &mut impl GmServiceHoo
             offset,
             len,
         } => {
+            hooks.before_read(region, offset, len as usize);
             let data = store
                 .read(region, offset, len as usize)
                 .unwrap_or_else(|e| panic!("gm service: remote read failed: {e}"));
@@ -101,6 +111,7 @@ pub fn serve_gm(store: &GlobalStore, msg: Message, hooks: &mut impl GmServiceHoo
                         offset,
                         len,
                     } => {
+                        hooks.before_read(region, offset, len as usize);
                         let data = store
                             .read(region, offset, len as usize)
                             .unwrap_or_else(|e| panic!("gm service: batched read failed: {e}"));
@@ -258,6 +269,58 @@ mod tests {
             serve_gm(&store, inv, &mut NoHooks),
             Served::Response(Message::GmInvalidateAck { req: ReqId(10) })
         ));
+    }
+
+    /// Stands in for an own-node write racing the serve: it lands in the
+    /// store from `before_read`.
+    struct WriteBeforeRead<'a> {
+        store: &'a GlobalStore,
+        pattern: Vec<u8>,
+    }
+
+    impl GmServiceHooks for WriteBeforeRead<'_> {
+        fn before_read(&mut self, region: RegionId, offset: u64, len: usize) {
+            assert_eq!(len, self.pattern.len());
+            self.store.write(region, offset, &self.pattern).unwrap();
+        }
+        fn read_executed(&mut self, _: RegionId, _: u64, _: &[u8]) {}
+        fn write_executed(&mut self, _: RegionId, _: u64, _: usize) {}
+        fn fetch_add_executed(&mut self, _: RegionId, _: u64) {}
+    }
+
+    #[test]
+    fn before_read_runs_before_the_store_read() {
+        let (store, r) = store_with_region(64);
+        let pattern: Vec<u8> = (1..=16).collect();
+        let mut hooks = WriteBeforeRead {
+            store: &store,
+            pattern: pattern.clone(),
+        };
+        let rd = Message::GmReadReq {
+            req: ReqId(4),
+            region: r,
+            offset: 8,
+            len: 16,
+        };
+        match serve_gm(&store, rd, &mut hooks) {
+            Served::Response(Message::GmReadResp { data, .. }) => assert_eq!(data, pattern),
+            _ => panic!("expected read resp"),
+        }
+        let batch = Message::GmBatchReq {
+            req: ReqId(5),
+            ops: vec![GmOp::Read {
+                region: r,
+                offset: 32,
+                len: 16,
+            }],
+        };
+        hooks.pattern = (100..116).collect();
+        match serve_gm(&store, batch, &mut hooks) {
+            Served::Response(Message::GmBatchResp { reads, .. }) => {
+                assert_eq!(reads, vec![hooks.pattern.clone()]);
+            }
+            _ => panic!("expected batch resp"),
+        }
     }
 
     #[test]

@@ -150,17 +150,16 @@ struct LiveGmHooks<'a> {
 }
 
 impl GmServiceHooks for LiveGmHooks<'_> {
-    fn read_executed(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        self.metrics.add(
-            MetricKey::pe("kernel", "gm_bytes_read", self.pe),
-            data.len() as u64,
-        );
+    fn before_read(&mut self, region: RegionId, offset: u64, len: usize) {
         if let Some(cs) = self.cache {
             // Home-side half of the lease: record the requester as a
-            // sharer of every block its fetch fully covers. The data half
-            // installs at the requester on completion (epoch-guarded).
+            // sharer of every block its fetch fully covers, *before* the
+            // store read, so an own-node write that lands after the read
+            // finds the requester among the holders it invalidates. The
+            // data half installs at the requester on completion
+            // (epoch-guarded).
             let mut fresh = 0u64;
-            for b in blocks_inside(offset, data.len()) {
+            for b in blocks_inside(offset, len) {
                 if cs.grant(NodeId(self.from as u16), region, b) {
                     fresh += 1;
                 }
@@ -170,6 +169,12 @@ impl GmServiceHooks for LiveGmHooks<'_> {
                     .add(MetricKey::pe("kernel", "dir_leases", self.pe), fresh);
             }
         }
+    }
+    fn read_executed(&mut self, _: RegionId, _: u64, data: &[u8]) {
+        self.metrics.add(
+            MetricKey::pe("kernel", "gm_bytes_read", self.pe),
+            data.len() as u64,
+        );
     }
     fn write_executed(&mut self, region: RegionId, offset: u64, len: usize) {
         self.metrics.add(

@@ -31,15 +31,15 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dse_api::{GmHandle, ParallelApi};
-use dse_kernel::cache::{blocks_inside, blocks_touching};
+use dse_api::{GmHandle, ParallelApi, AUTO_BARRIER_BASE};
+use dse_kernel::client::{is_completion, span_kind, Effect, Flush, GmClient, Issued, Step};
 use dse_kernel::gmem::GlobalStore;
 use dse_kernel::task::{is_app_bound, KernelEnv, KernelEvent, KernelTask, Outbound, Progress};
-use dse_kernel::{CacheStore, Distribution, GmMode, SchedulerKind, CACHE_BLOCK};
-use dse_msg::{GlobalPid, GmOp, Message, NodeId, RegionId, ReqId, ReqIdGen, TraceCtx};
+use dse_kernel::{CacheStore, Distribution, GmMode, SchedulerKind, DEFAULT_GM_WINDOW};
+use dse_msg::{GlobalPid, Message, NodeId, RegionId, ReqId, TraceCtx};
 use dse_obs::{
     ClusterAggregator, DeltaTracker, FlightEventKind, FlightRecorder, MetricKey, MetricsSnapshot,
-    Registry, SpanKind, TelemetryDelta, TraceRecorder, TraceRole, TraceSpanKind, TraceSpanRec,
+    Registry, TelemetryDelta, TraceRecorder, TraceRole, TraceSpanKind, TraceSpanRec,
 };
 use dse_platform::Work;
 use dse_transport::{
@@ -269,7 +269,10 @@ pub struct LiveCluster {
 }
 
 /// One PE's app-thread inbox: responses and coordination wakeups.
-type AppInbox = Arc<BlockingQueue<(Message, Option<TraceCtx>)>>;
+type AppInbox = Arc<BlockingQueue<Inbound>>;
+
+/// A message delivered to an app thread, with its wire trace context.
+type Inbound = (Message, Option<TraceCtx>);
 
 impl LiveCluster {
     /// Shared state for `nprocs` processing elements.
@@ -366,10 +369,6 @@ impl LiveCluster {
         }
     }
 }
-
-/// Matches [`dse_api::AUTO_BARRIER_BASE`]: auto-sequenced barrier ids live
-/// above this bound on both engines.
-const AUTO_BARRIER_BASE: u32 = 0x4000_0000;
 
 // ---------------------------------------------------------------------------
 // Kernel thread: the per-PE message loop.
@@ -626,48 +625,6 @@ fn live_kernel(
 // Application thread: LiveCtx, the ParallelApi over the wire.
 // ---------------------------------------------------------------------------
 
-/// Where a completed read segment's bytes land.
-#[derive(Clone, Copy)]
-struct ReadDest {
-    handle: u64,
-    buf_off: usize,
-    abs_off: u64,
-    len: usize,
-}
-
-/// Bookkeeping for one read request on the wire (plain or batched).
-struct ReadCtl {
-    offset: u64,
-    len: usize,
-    dests: Vec<ReadDest>,
-    /// Region the segment reads (for replica installs on cached runs).
-    region: RegionId,
-    /// Fully-contained blocks to install on completion (empty when the
-    /// replica cache is off).
-    install: std::ops::Range<u64>,
-    /// Install-epoch snapshot taken at dispatch: a mismatch at completion
-    /// means an invalidation raced the fetch, so the install is skipped.
-    epoch: u64,
-}
-
-/// Bookkeeping for one write request on the wire: the handles it completes.
-struct WriteCtl {
-    writers: Vec<u64>,
-}
-
-/// One staged (not yet sent) split-phase segment.
-struct StagedSeg {
-    home: u32,
-    region: RegionId,
-    offset: u64,
-    kind: SegKind,
-}
-
-enum SegKind {
-    Read { len: usize, dests: Vec<ReadDest> },
-    Write { data: Vec<u8>, writers: Vec<u64> },
-}
-
 /// Unwind payload of an app thread stopped by the cluster abort: carried
 /// via `resume_unwind` (so the panic hook stays silent) and swallowed by
 /// the harness when joining, unlike a genuine application panic.
@@ -705,67 +662,27 @@ struct ReqSpan {
     retries: u32,
 }
 
-/// The span kind a retransmitted request would have opened (for the
-/// flight-recorder stall event on a deadline trip).
-fn span_kind_of(msg: &Message) -> SpanKind {
-    match msg {
-        Message::GmWriteReq { .. } => SpanKind::GmWrite,
-        Message::GmFetchAddReq { .. } => SpanKind::GmFetchAdd,
-        Message::GmBatchReq { .. } => SpanKind::GmBatch,
-        _ => SpanKind::GmRead,
-    }
-}
-
-/// An issued request awaiting its response, keyed by correlation id.
-enum InflightReq {
-    Read(ReadCtl),
-    Write(WriteCtl),
-    Batch(Vec<InflightOp>),
-}
-
-enum InflightOp {
-    Read(ReadCtl),
-    Write(WriteCtl),
-}
-
-/// A split-phase handle's outstanding work.
-struct HandleState {
-    /// Segments (staged or in flight) still owed to this handle.
-    remaining: usize,
-    /// Read destination buffer (`None` for writes).
-    buf: Option<Vec<u8>>,
-    /// Issue time, for the completion latency histogram.
-    started: Instant,
-    is_read: bool,
-    /// Whether any segment left the node (decides the latency histogram:
-    /// `remote_*_ns` vs `local_*_ns`, matching the simulator's names).
-    remote: bool,
-}
-
-/// Per-process context of the live engine: implements [`ParallelApi`] by
-/// splitting each access across home nodes — own-node ranges go straight to
-/// the store (the linked-library fast path), remote ranges become staged
-/// request messages that coalesce per home and travel as real wire traffic.
+/// Per-process context of the live engine: implements [`ParallelApi`] as a
+/// driver of the same [`GmClient`] the simulator's `DseCtx` drives — the
+/// client splits each access across home nodes, serves own-node ranges from
+/// the store (the linked-library fast path) and stages remote ranges as
+/// request messages that coalesce per home; this context puts them on the
+/// real wire and feeds the responses back.
 pub struct LiveCtx {
     rank: u32,
     pid: GlobalPid,
     cluster: Arc<LiveCluster>,
     transport: Arc<dyn Transport>,
     app_rx: AppInbox,
-    reqs: ReqIdGen,
     barrier_seq: u32,
     alloc_seq: usize,
     /// Messages (with their wire trace context) that arrived while
     /// awaiting something else.
     stash: VecDeque<(Message, Option<TraceCtx>)>,
-    /// Split-phase machinery (mirrors the simulator's `DseCtx`).
-    next_handle: u64,
-    handles: HashMap<u64, HandleState>,
-    completed: HashMap<u64, Option<Vec<u8>>>,
-    staged: Vec<StagedSeg>,
-    inflight: HashMap<u64, InflightReq>,
-    /// Retransmission state for outstanding requests, keyed like
-    /// `inflight`; entries are dropped when the response arrives.
+    /// The split-phase GM client (it also hands out request ids).
+    client: GmClient,
+    /// Retransmission state for outstanding requests, keyed by request
+    /// id; entries are dropped when the response arrives.
     retry: HashMap<u64, RetryState>,
     /// Reusable scratch for element-wise `GmArray` accessors.
     scratch: Vec<u8>,
@@ -779,6 +696,9 @@ pub struct LiveCtx {
     app_start_ns: u64,
     /// Open `gm_req` root spans keyed by request id.
     req_spans: HashMap<u64, ReqSpan>,
+    /// The engine clock's origin: a copy of the cluster's, so reading the
+    /// clock on the GM hot path touches no state other threads write.
+    t0: Instant,
 }
 
 impl LiveCtx {
@@ -793,21 +713,17 @@ impl LiveCtx {
         // chain the PE originates shares it.
         let app_span = rec.next_id();
         let app_start_ns = cluster.now_ns();
+        let t0 = cluster.t0;
         LiveCtx {
             rank,
             pid: GlobalPid::new(NodeId(rank as u16), 1),
             cluster,
             transport,
             app_rx,
-            reqs: ReqIdGen::new(),
             barrier_seq: 0,
             alloc_seq: 0,
             stash: VecDeque::new(),
-            next_handle: 0,
-            handles: HashMap::new(),
-            completed: HashMap::new(),
-            staged: Vec::new(),
-            inflight: HashMap::new(),
+            client: GmClient::new(NodeId(rank as u16), DEFAULT_GM_WINDOW),
             retry: HashMap::new(),
             scratch: Vec::new(),
             rec,
@@ -815,7 +731,13 @@ impl LiveCtx {
             app_span,
             app_start_ns,
             req_spans: HashMap::new(),
+            t0,
         }
+    }
+
+    /// Engine-clock nanoseconds (same clock as `LiveCluster::now_ns`).
+    fn now_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
     }
 
     /// True when this run records causal spans.
@@ -834,7 +756,7 @@ impl LiveCtx {
                 0,
                 self.rank,
                 self.app_start_ns,
-                self.cluster.now_ns(),
+                self.now_ns(),
             );
             self.rec.push(span);
         }
@@ -858,7 +780,7 @@ impl LiveCtx {
 
     fn send_traced(&self, to: u32, msg: &Message, ctx: Option<TraceCtx>) {
         self.cluster.flight.record(
-            self.cluster.now_ns(),
+            self.now_ns(),
             self.rank,
             FlightEventKind::Bus {
                 label: msg.label(),
@@ -923,92 +845,61 @@ impl LiveCtx {
             .filter(|(_, s)| s.next_retry <= now)
             .map(|(k, _)| *k)
             .collect();
+        let policy = self.cluster.retry;
         for key in due {
-            let policy = self.cluster.retry;
-            let (home, attempts, kind, waited_ns, elapsed_backoff, ctx, msg) = {
-                let st = self.retry.get_mut(&key).unwrap();
+            let st = self.retry.get_mut(&key).unwrap();
+            let (home, ctx) = (st.home, st.ctx);
+            if st.attempts >= policy.max_attempts {
+                let (attempts, kind) = (st.attempts, span_kind(&st.msg));
                 let waited_ns = st.sent_at.elapsed().as_nanos() as u64;
-                if st.attempts >= policy.max_attempts {
-                    (
-                        st.home,
-                        st.attempts,
-                        span_kind_of(&st.msg),
-                        waited_ns,
-                        st.backoff,
-                        st.ctx,
-                        None,
-                    )
-                } else {
-                    let elapsed_backoff = st.backoff;
-                    st.attempts += 1;
-                    st.backoff = (st.backoff * 2).min(policy.max_delay);
-                    st.next_retry = now + st.backoff;
-                    (
-                        st.home,
-                        st.attempts,
-                        span_kind_of(&st.msg),
-                        waited_ns,
-                        elapsed_backoff,
-                        st.ctx,
-                        Some(st.msg.clone()),
-                    )
-                }
-            };
-            match msg {
-                Some(msg) => {
-                    // A retransmit, not a new request: `gm_request_msgs`
-                    // stays put (wire accounting keeps its exact counts);
-                    // the retry shows up under its own metric. The same
-                    // trace context rides again so the home's dedup replay
-                    // stays in the original causal chain.
-                    self.metrics()
-                        .incr(MetricKey::pe("kernel", "gm_retries", self.rank));
-                    if let Some(rs) = self.req_spans.get_mut(&key) {
-                        rs.retries += 1;
-                        // The backoff that just elapsed is attributable
-                        // dead time inside the request's wall clock.
-                        let end = self.cluster.now_ns();
-                        let mut span = TraceSpanRec::new(
-                            TraceSpanKind::RetryBackoff,
-                            self.trace,
-                            self.rec.next_id(),
-                            rs.span,
-                            self.rank,
-                            end.saturating_sub(elapsed_backoff.as_nanos() as u64),
-                            end,
-                        );
-                        span.peer = home;
-                        span.seq = key;
-                        self.rec.push(span);
-                    }
-                    self.send_traced(home, &msg, ctx);
-                }
-                None => {
-                    self.metrics()
-                        .incr(MetricKey::pe("kernel", "gm_deadline_trips", self.rank));
-                    let (trace, span) = self
-                        .req_spans
-                        .get(&key)
-                        .map(|rs| (self.trace, rs.span))
-                        .unwrap_or((0, 0));
-                    self.cluster.flight.record_traced(
-                        self.cluster.now_ns(),
-                        self.rank,
-                        trace,
-                        span,
-                        FlightEventKind::Stall {
-                            kind,
-                            seq: key,
-                            waited_ns,
-                        },
-                    );
-                    self.die(FailureKind::GmDeadline {
-                        req: key,
-                        home,
-                        attempts,
-                    });
-                }
+                self.metrics()
+                    .incr(MetricKey::pe("kernel", "gm_deadline_trips", self.rank));
+                let (trace, span) = self
+                    .req_spans
+                    .get(&key)
+                    .map(|rs| (self.trace, rs.span))
+                    .unwrap_or((0, 0));
+                let stall = FlightEventKind::Stall {
+                    kind,
+                    seq: key,
+                    waited_ns,
+                };
+                let now_ns = self.now_ns();
+                let flight = &self.cluster.flight;
+                flight.record_traced(now_ns, self.rank, trace, span, stall);
+                let failure = FailureKind::GmDeadline {
+                    req: key,
+                    home,
+                    attempts,
+                };
+                self.die(failure);
             }
+            let elapsed_backoff = st.backoff;
+            st.attempts += 1;
+            st.backoff = (st.backoff * 2).min(policy.max_delay);
+            st.next_retry = now + st.backoff;
+            let msg = st.msg.clone();
+            // A retransmit, not a new request: `gm_request_msgs` stays put
+            // (wire accounting keeps its exact counts); the retry shows up
+            // under its own metric. The same trace context rides again so
+            // the home's dedup replay stays in the original causal chain.
+            self.metrics()
+                .incr(MetricKey::pe("kernel", "gm_retries", self.rank));
+            let end = self.now_ns();
+            if let Some(rs) = self.req_spans.get_mut(&key) {
+                rs.retries += 1;
+                // The backoff that just elapsed is attributable dead time
+                // inside the request's wall clock.
+                let start = end.saturating_sub(elapsed_backoff.as_nanos() as u64);
+                let id = self.rec.next_id();
+                let kind = TraceSpanKind::RetryBackoff;
+                let mut span =
+                    TraceSpanRec::new(kind, self.trace, id, rs.span, self.rank, start, end);
+                span.peer = home;
+                span.seq = key;
+                self.rec.push(span);
+            }
+            self.send_traced(home, &msg, ctx);
         }
     }
 
@@ -1041,7 +932,7 @@ impl LiveCtx {
             req.0,
             ReqSpan {
                 span,
-                start_ns: self.cluster.now_ns(),
+                start_ns: self.now_ns(),
                 home,
                 retries: 0,
             },
@@ -1059,7 +950,7 @@ impl LiveCtx {
         let Some(rs) = self.req_spans.remove(&req) else {
             return;
         };
-        let end = self.cluster.now_ns();
+        let end = self.now_ns();
         let mut root = TraceSpanRec::new(
             TraceSpanKind::GmReq,
             self.trace,
@@ -1094,184 +985,52 @@ impl LiveCtx {
         }
     }
 
-    fn new_handle(&mut self) -> u64 {
-        self.next_handle += 1;
-        self.next_handle
-    }
-
-    fn home_of(&self, region: RegionId, offset: u64) -> u32 {
-        self.cluster
-            .store
-            .home_of(region, offset)
-            .unwrap_or_else(|e| panic!("live rank {}: bad GM address: {e}", self.rank))
-            .0 as u32
-    }
-
-    // ----- split-phase issue/stage/flush -----------------------------------
-
-    fn issue_read(&mut self, region: RegionId, offset: u64, len: usize, eager: bool) -> GmHandle {
-        self.metrics().incr(MetricKey::pe("gm", "reads", self.rank));
-        self.metrics()
-            .incr(MetricKey::pe("kernel", "gm_ops", self.rank));
-        let runs = self
-            .cluster
-            .store
-            .split_by_home(region, offset, len)
-            .unwrap_or_else(|e| panic!("live rank {}: gm_read failed: {e}", self.rank));
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: Some(vec![0u8; len]),
-                started: Instant::now(),
-                is_read: true,
-                remote: false,
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            if home.0 as u32 == self.rank {
-                // Own-node fast path: straight into the store.
-                let buf = self.handles.get_mut(&handle).unwrap().buf.as_mut().unwrap();
-                self.cluster
-                    .store
-                    .read_into(region, off, &mut buf[buf_off..buf_off + rlen])
-                    .unwrap();
-                continue;
-            }
-            if self.cluster.cache.is_some() {
-                self.stage_read_cached(home.0 as u32, region, offset, off, rlen, handle, eager);
-                continue;
-            }
-            let st = self.handles.get_mut(&handle).unwrap();
-            st.remaining += 1;
-            st.remote = true;
-            self.stage_read(home.0 as u32, region, off, rlen, handle, buf_off, eager);
-        }
-        self.release_issuance_token(handle)
-    }
-
-    /// One remote read run with the replica cache on: serve fully cached
-    /// blocks straight out of the local replica store, and stage only the
-    /// misses and edge fragments (coalesced into minimal spans) as wire
-    /// fetches.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_read_cached(
+    /// Issue a read (`write` = `None`) or a write through the GM client,
+    /// doing the live engine's part: apply own-node writes with their
+    /// invalidations, and flush every staged segment of a blocking issue.
+    fn issue(
         &mut self,
-        home: u32,
         region: RegionId,
-        base: u64,
-        off: u64,
-        rlen: usize,
-        handle: u64,
+        offset: u64,
+        len: usize,
+        write: Option<&[u8]>,
         eager: bool,
-    ) {
-        let cluster = Arc::clone(&self.cluster);
-        let cs = cluster.cache.as_ref().unwrap();
-        let me = NodeId(self.rank as u16);
-        let end = off + rlen as u64;
-        let full = blocks_inside(off, rlen);
-        // Contiguous span still needing a fetch, grown block by block.
-        let mut pend: Option<(u64, u64)> = None;
-        let mut segs: Vec<(u64, usize)> = Vec::new();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for b in blocks_touching(off, rlen) {
-            let bs = b * CACHE_BLOCK as u64;
-            let s = bs.max(off);
-            let e = (bs + CACHE_BLOCK as u64).min(end);
-            let cached = full.contains(&b).then(|| cs.get(me, region, b)).flatten();
-            match cached {
-                Some(data) => {
-                    hits += 1;
-                    let st = self.handles.get_mut(&handle).unwrap();
-                    let buf = st.buf.as_mut().unwrap();
-                    let at = (s - base) as usize;
-                    let src = (s - bs) as usize;
-                    let n = (e - s) as usize;
-                    buf[at..at + n].copy_from_slice(&data[src..src + n]);
-                    if let Some((ps, pe)) = pend.take() {
-                        segs.push((ps, (pe - ps) as usize));
-                    }
-                }
-                None => {
-                    if full.contains(&b) {
-                        misses += 1;
-                    }
-                    match &mut pend {
-                        Some((_, stop)) => *stop = e,
-                        None => pend = Some((s, e)),
-                    }
-                }
-            }
-        }
-        if let Some((ps, pe)) = pend {
-            segs.push((ps, (pe - ps) as usize));
-        }
-        if hits > 0 {
-            self.metrics()
-                .add(MetricKey::pe("kernel", "cache_hits", self.rank), hits);
-            self.metrics()
-                .add(MetricKey::pe("kernel", "dir_hits", self.rank), hits);
-        }
-        if misses > 0 {
-            self.metrics()
-                .add(MetricKey::pe("kernel", "cache_misses", self.rank), misses);
-            self.metrics()
-                .add(MetricKey::pe("kernel", "dir_misses", self.rank), misses);
-        }
-        for (s, l) in segs {
-            let st = self.handles.get_mut(&handle).unwrap();
-            st.remaining += 1;
-            st.remote = true;
-            self.stage_read(home, region, s, l, handle, (s - base) as usize, false);
-        }
-        if eager {
-            self.flush_staged();
-        }
-    }
-
-    fn issue_write(&mut self, region: RegionId, offset: u64, data: &[u8], eager: bool) -> GmHandle {
-        self.metrics()
-            .incr(MetricKey::pe("gm", "writes", self.rank));
+    ) -> GmHandle {
+        let name = if write.is_some() { "writes" } else { "reads" };
+        self.metrics().incr(MetricKey::pe("gm", name, self.rank));
         self.metrics()
             .incr(MetricKey::pe("kernel", "gm_ops", self.rank));
-        let runs = self
-            .cluster
-            .store
-            .split_by_home(region, offset, data.len())
-            .unwrap_or_else(|e| panic!("live rank {}: gm_write failed: {e}", self.rank));
-        let handle = self.new_handle();
-        self.handles.insert(
-            handle,
-            HandleState {
-                remaining: 1, // issuance token, released below
-                buf: None,
-                started: Instant::now(),
-                is_read: false,
-                remote: false,
-            },
-        );
-        for (home, off, rlen) in runs {
-            let buf_off = (off - offset) as usize;
-            let chunk = &data[buf_off..buf_off + rlen];
-            if home.0 as u32 == self.rank {
-                self.cluster.store.write(region, off, chunk).unwrap();
-                self.own_write_coherence(region, off, rlen, Some(handle));
-                continue;
+        let t0 = self.now_ns();
+        let (store, cache) = (&self.cluster.store, self.cluster.cache.as_ref());
+        let mut is = self
+            .client
+            .issue(store, cache, region, offset, len, write, t0);
+        loop {
+            let (store, cache) = (&self.cluster.store, self.cluster.cache.as_ref());
+            match self.client.step(&mut is, store, cache) {
+                Step::LocalRead(_) | Step::Hit(_) => {}
+                Step::LocalWrite { offset, at, len } => {
+                    let data = &write.expect("a write issue")[at..at + len];
+                    store.write(region, offset, data).unwrap();
+                    self.own_write_coherence(region, offset, len, Some(is.handle()));
+                }
+                Step::Staged if eager => self.flush(),
+                Step::Staged => {}
+                Step::Done(issued) => {
+                    if let Issued::Ready(_) = issued {
+                        let ns = self.now_ns() - t0;
+                        record_handle_latency(
+                            self.metrics(),
+                            self.rank,
+                            write.is_none(),
+                            is.remote(),
+                            ns,
+                        );
+                    }
+                    return issued.into();
+                }
             }
-            if let Some(cs) = self.cluster.cache.as_ref() {
-                // Our own replicas of the written range are stale the
-                // moment the home applies the write; the home's take
-                // excludes us, so we drop them here.
-                cs.drop_range(NodeId(self.rank as u16), region, off, rlen);
-            }
-            let st = self.handles.get_mut(&handle).unwrap();
-            st.remaining += 1;
-            st.remote = true;
-            self.stage_write(home.0 as u32, region, off, chunk.to_vec(), handle, eager);
         }
-        self.release_issuance_token(handle)
     }
 
     /// Coherence actions for a write applied directly to this PE's own
@@ -1311,7 +1070,7 @@ impl LiveCtx {
         );
         let mut inline: Vec<u64> = Vec::new();
         for h in holders {
-            let req = self.reqs.next();
+            let req = self.client.next_req();
             let msg = Message::GmInvalidate {
                 req,
                 region,
@@ -1321,281 +1080,65 @@ impl LiveCtx {
             self.send(h.0 as u32, &msg);
             self.arm_retry(req, h.0 as u32, msg, None);
             match handle {
-                Some(hd) => {
-                    let st = self.handles.get_mut(&hd).unwrap();
-                    st.remaining += 1;
-                    st.remote = true;
-                    self.inflight
-                        .insert(req.0, InflightReq::Write(WriteCtl { writers: vec![hd] }));
-                }
+                Some(hd) => self.client.await_ack(hd, req),
                 None => inline.push(req.0),
             }
         }
         while !inline.is_empty() {
-            match self.recv_app(Some(self.retry_tick())) {
-                None => self.service_retries(),
-                Some((Message::GmInvalidateAck { req }, _)) if inline.contains(&req.0) => {
-                    self.retry.remove(&req.0);
-                    inline.retain(|&r| r != req.0);
-                }
-                Some(other) => self.stash.push_back(other),
-            }
-        }
-    }
-
-    /// Release the issuance token: if every segment was served locally, the
-    /// handle is born ready (and its latency recorded now).
-    fn release_issuance_token(&mut self, handle: u64) -> GmHandle {
-        let st = self.handles.get_mut(&handle).unwrap();
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            let st = self.handles.remove(&handle).unwrap();
-            self.record_handle_latency(&st);
-            GmHandle::ready(st.buf)
-        } else {
-            GmHandle::queued(handle)
-        }
-    }
-
-    fn record_handle_latency(&self, st: &HandleState) {
-        let name = match (st.is_read, st.remote) {
-            (true, true) => "remote_read_ns",
-            (true, false) => "local_read_ns",
-            (false, true) => "remote_write_ns",
-            (false, false) => "local_write_ns",
-        };
-        self.metrics().record(
-            MetricKey::pe("gm", name, self.rank),
-            st.started.elapsed().as_nanos() as u64,
-        );
-    }
-
-    /// Stage one remote read segment, coalescing with the most recently
-    /// staged segment when both target the same home and region and their
-    /// ranges touch or overlap.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_read(
-        &mut self,
-        home: u32,
-        region: RegionId,
-        off: u64,
-        len: usize,
-        handle: u64,
-        buf_off: usize,
-        eager: bool,
-    ) {
-        let end = off + len as u64;
-        let dest = ReadDest {
-            handle,
-            buf_off,
-            abs_off: off,
-            len,
-        };
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Read { len: slen, dests } = &mut seg.kind {
-                    let seg_end = seg.offset + *slen as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        seg.offset = new_start;
-                        *slen = (new_end - new_start) as usize;
-                        dests.push(dest);
-                        merged = true;
-                        self.cluster.metrics.incr(MetricKey::pe(
-                            "kernel",
-                            "gm_coalesced",
-                            self.rank,
-                        ));
-                    }
-                }
-            }
-        }
-        if !merged {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Read {
-                    len,
-                    dests: vec![dest],
-                },
+            let req = self.recv_until(|m| match m {
+                (Message::GmInvalidateAck { req }, _) if inline.contains(&req.0) => Ok(req.0),
+                other => Err(other),
             });
-        }
-        if eager {
-            self.flush_staged();
+            self.retry.remove(&req);
+            inline.retain(|&r| r != req);
         }
     }
 
-    /// Stage one remote write segment; on overlap the later write's bytes
-    /// win, preserving program order.
-    fn stage_write(
-        &mut self,
-        home: u32,
-        region: RegionId,
-        off: u64,
-        data: Vec<u8>,
-        handle: u64,
-        eager: bool,
-    ) {
-        let end = off + data.len() as u64;
-        let mut merged = false;
-        if let Some(seg) = self.staged.last_mut() {
-            if seg.home == home && seg.region == region {
-                if let SegKind::Write {
-                    data: sdata,
-                    writers,
-                } = &mut seg.kind
-                {
-                    let seg_end = seg.offset + sdata.len() as u64;
-                    if off <= seg_end && end >= seg.offset {
-                        let new_start = seg.offset.min(off);
-                        let new_end = seg_end.max(end);
-                        let mut union = vec![0u8; (new_end - new_start) as usize];
-                        let old_at = (seg.offset - new_start) as usize;
-                        union[old_at..old_at + sdata.len()].copy_from_slice(sdata);
-                        let new_at = (off - new_start) as usize;
-                        union[new_at..new_at + data.len()].copy_from_slice(&data);
-                        *sdata = union;
-                        seg.offset = new_start;
-                        writers.push(handle);
-                        merged = true;
-                        self.cluster.metrics.incr(MetricKey::pe(
-                            "kernel",
-                            "gm_coalesced",
-                            self.rank,
-                        ));
-                    }
+    /// Send every staged segment, draining completions whenever the
+    /// pipelining window is full, then publish the client's counts (replica
+    /// hits, which need no flush of their own, ride along with the next
+    /// one; every fence and the process finish flush).
+    fn flush(&mut self) {
+        loop {
+            // A cached read carries this PE's install epoch from dispatch
+            // and installs its replicas only if the epoch is unchanged.
+            let epoch = match self.cluster.cache {
+                Some(_) => *self.cluster.install_guards[self.rank as usize].lock(),
+                None => 0,
+            };
+            match self.client.poll_flush(epoch) {
+                Flush::Send(r) => {
+                    let home = r.home.0 as u32;
+                    let ctx = self.open_req_span(r.req, home);
+                    self.send_traced(home, &r.msg, ctx);
+                    self.arm_retry(r.req, home, r.msg, ctx);
                 }
+                Flush::WindowFull => self.drain_one(),
+                Flush::Done => break,
             }
         }
-        if !merged {
-            self.staged.push(StagedSeg {
-                home,
-                region,
-                offset: off,
-                kind: SegKind::Write {
-                    data,
-                    writers: vec![handle],
-                },
-            });
-        }
-        if eager {
-            self.flush_staged();
-        }
+        self.publish();
     }
 
-    /// Send every staged segment: one plain request per singleton home
-    /// group, one batched request per multi-segment home group.
-    fn flush_staged(&mut self) {
-        if self.staged.is_empty() {
-            return;
+    /// Publish the client's counts as this PE's `kernel/*` metrics.
+    fn publish(&mut self) {
+        let (c, peak) = self.client.take_counters();
+        let counts = [
+            ("gm_coalesced", c.gm_coalesced),
+            ("cache_hits", c.cache_hits),
+            ("dir_hits", c.dir_hits),
+            ("cache_misses", c.cache_misses),
+            ("dir_misses", c.dir_misses),
+            ("gm_request_msgs", c.gm_request_msgs),
+        ];
+        for (name, n) in counts.into_iter().filter(|&(_, n)| n > 0) {
+            self.metrics()
+                .add(MetricKey::pe("kernel", name, self.rank), n);
         }
-        let staged = std::mem::take(&mut self.staged);
-        let mut groups: Vec<(u32, Vec<StagedSeg>)> = Vec::new();
-        for seg in staged {
-            match groups.iter_mut().find(|(h, _)| *h == seg.home) {
-                Some((_, v)) => v.push(seg),
-                None => groups.push((seg.home, vec![seg])),
-            }
+        if peak > 0 {
+            let key = MetricKey::pe("kernel", "gm_inflight", self.rank);
+            self.metrics().gauge_max(key, peak);
         }
-        for (home, mut segs) in groups {
-            if segs.len() == 1 {
-                self.send_plain(home, segs.pop().unwrap());
-            } else {
-                self.send_batch(home, segs);
-            }
-        }
-    }
-
-    /// Build one read segment's completion bookkeeping, snapshotting the
-    /// install epoch at dispatch for cached runs.
-    fn read_ctl(&self, region: RegionId, offset: u64, len: usize, dests: Vec<ReadDest>) -> ReadCtl {
-        let (install, epoch) = if self.cluster.cache.is_some() {
-            (
-                blocks_inside(offset, len),
-                *self.cluster.install_guards[self.rank as usize].lock(),
-            )
-        } else {
-            (0..0, 0)
-        };
-        ReadCtl {
-            offset,
-            len,
-            dests,
-            region,
-            install,
-            epoch,
-        }
-    }
-
-    fn send_plain(&mut self, home: u32, seg: StagedSeg) {
-        let req = self.reqs.next();
-        let (msg, ctl) = match seg.kind {
-            SegKind::Read { len, dests } => (
-                Message::GmReadReq {
-                    req,
-                    region: seg.region,
-                    offset: seg.offset,
-                    len: len as u32,
-                },
-                InflightReq::Read(self.read_ctl(seg.region, seg.offset, len, dests)),
-            ),
-            SegKind::Write { data, writers } => (
-                Message::GmWriteReq {
-                    req,
-                    region: seg.region,
-                    offset: seg.offset,
-                    data: data.into(),
-                },
-                InflightReq::Write(WriteCtl { writers }),
-            ),
-        };
-        self.dispatch(home, req, msg, ctl);
-    }
-
-    fn send_batch(&mut self, home: u32, segs: Vec<StagedSeg>) {
-        let req = self.reqs.next();
-        let mut ops = Vec::with_capacity(segs.len());
-        let mut ctls = Vec::with_capacity(segs.len());
-        for seg in segs {
-            match seg.kind {
-                SegKind::Read { len, dests } => {
-                    ops.push(GmOp::Read {
-                        region: seg.region,
-                        offset: seg.offset,
-                        len: len as u32,
-                    });
-                    ctls.push(InflightOp::Read(
-                        self.read_ctl(seg.region, seg.offset, len, dests),
-                    ));
-                }
-                SegKind::Write { data, writers } => {
-                    ctls.push(InflightOp::Write(WriteCtl { writers }));
-                    ops.push(GmOp::Write {
-                        region: seg.region,
-                        offset: seg.offset,
-                        data: data.into(),
-                    });
-                }
-            }
-        }
-        let msg = Message::GmBatchReq { req, ops };
-        self.dispatch(home, req, msg, InflightReq::Batch(ctls));
-    }
-
-    fn dispatch(&mut self, home: u32, req: ReqId, msg: Message, ctl: InflightReq) {
-        self.metrics()
-            .incr(MetricKey::pe("kernel", "gm_request_msgs", self.rank));
-        let ctx = self.open_req_span(req, home);
-        self.send_traced(home, &msg, ctx);
-        self.arm_retry(req, home, msg, ctx);
-        self.inflight.insert(req.0, ctl);
-        self.metrics().gauge_max(
-            MetricKey::pe("kernel", "gm_inflight", self.rank),
-            self.inflight.len() as u64,
-        );
     }
 
     // ----- completion ------------------------------------------------------
@@ -1604,33 +1147,24 @@ impl LiveCtx {
     /// drain parked one there, otherwise off the kernel's forwarding
     /// channel.
     fn drain_one(&mut self) {
-        if let Some(idx) = self.stash.iter().position(|(m, _)| {
-            matches!(
-                m,
-                Message::GmReadResp { .. }
-                    | Message::GmWriteAck { .. }
-                    | Message::GmBatchResp { .. }
-                    | Message::GmInvalidateAck { .. }
-            )
-        }) {
-            let (msg, ctx) = self.stash.remove(idx).unwrap();
-            self.process_completion(msg, ctx);
-            return;
-        }
+        let got = match self.stash.iter().position(|(m, _)| is_completion(m)) {
+            Some(idx) => self.stash.remove(idx).unwrap(),
+            None => self.recv_until(|m| if is_completion(&m.0) { Ok(m) } else { Err(m) }),
+        };
+        self.process_completion(got.0, got.1);
+    }
+
+    /// Receive app-inbox messages until `pick` accepts one, stashing the
+    /// ones it hands back and servicing retransmission deadlines while the
+    /// inbox is quiet.
+    fn recv_until<T>(&mut self, mut pick: impl FnMut(Inbound) -> Result<T, Inbound>) -> T {
         loop {
             match self.recv_app(Some(self.retry_tick())) {
                 None => self.service_retries(),
-                Some((
-                    msg @ (Message::GmReadResp { .. }
-                    | Message::GmWriteAck { .. }
-                    | Message::GmBatchResp { .. }
-                    | Message::GmInvalidateAck { .. }),
-                    ctx,
-                )) => {
-                    self.process_completion(msg, ctx);
-                    return;
-                }
-                Some(other) => self.stash.push_back(other),
+                Some(got) => match pick(got) {
+                    Ok(t) => return t,
+                    Err(other) => self.stash.push_back(other),
+                },
             }
         }
     }
@@ -1639,122 +1173,34 @@ impl LiveCtx {
     /// longer in flight is a duplicate delivery (fault injection or a
     /// retransmit crossing the original response on the wire) and is
     /// dropped; a response of the *wrong kind* for a live id is a protocol
-    /// bug and still panics.
+    /// bug and panics in the client.
     fn process_completion(&mut self, msg: Message, ctx: Option<TraceCtx>) {
-        let t_in_ns = self.cluster.now_ns();
+        let t_in_ns = self.now_ns();
         let bytes = msg.wire_len() as u64;
-        match msg {
-            Message::GmReadResp { req, data } => match self.inflight.remove(&req.0) {
-                Some(InflightReq::Read(c)) => {
-                    self.retry.remove(&req.0);
-                    self.complete_read(c, &data);
-                    self.close_req_span(req.0, ctx, bytes, t_in_ns);
-                }
-                Some(_) => panic!("live rank {}: GmReadResp for a non-read request", self.rank),
-                None => {}
-            },
-            Message::GmWriteAck { req } => match self.inflight.remove(&req.0) {
-                Some(InflightReq::Write(c)) => {
-                    self.retry.remove(&req.0);
-                    self.complete_write(c);
-                    self.close_req_span(req.0, ctx, bytes, t_in_ns);
-                }
-                Some(_) => panic!(
-                    "live rank {}: GmWriteAck for a non-write request",
-                    self.rank
-                ),
-                None => {}
-            },
-            Message::GmBatchResp { req, reads } => match self.inflight.remove(&req.0) {
-                Some(InflightReq::Batch(ops)) => {
-                    self.retry.remove(&req.0);
-                    let mut it = reads.into_iter();
-                    for op in ops {
-                        match op {
-                            InflightOp::Read(c) => {
-                                let data = it.next().expect("missing batched read result");
-                                self.complete_read(c, &data);
-                            }
-                            InflightOp::Write(c) => self.complete_write(c),
-                        }
-                    }
-                    self.close_req_span(req.0, ctx, bytes, t_in_ns);
-                }
-                Some(_) => panic!(
-                    "live rank {}: GmBatchResp for a non-batch request",
-                    self.rank
-                ),
-                None => {}
-            },
-            Message::GmInvalidateAck { req } => match self.inflight.remove(&req.0) {
-                // Own-node write invalidation round: the ack completes the
-                // writing handle exactly like a remote write ack would.
-                Some(InflightReq::Write(c)) => {
-                    self.retry.remove(&req.0);
-                    self.complete_write(c);
-                }
-                Some(_) => panic!(
-                    "live rank {}: GmInvalidateAck for a non-invalidation request",
-                    self.rank
-                ),
-                None => {}
-            },
-            _ => unreachable!("process_completion on a non-GM message"),
-        }
-    }
-
-    fn complete_read(&mut self, ctl: ReadCtl, data: &[u8]) {
-        assert_eq!(data.len(), ctl.len, "short remote read");
-        if !ctl.install.is_empty() {
-            if let Some(cs) = self.cluster.cache.as_ref() {
-                // Requester-side half of the lease the home granted at
-                // serve time: install the fully fetched blocks, unless an
-                // invalidation has landed since dispatch (epoch mismatch)
-                // — then the bytes may already be stale and the lease
-                // stays data-less.
-                let guard = self.cluster.install_guards[self.rank as usize].lock();
-                if *guard == ctl.epoch {
-                    for b in ctl.install.clone() {
-                        let at = (b * CACHE_BLOCK as u64 - ctl.offset) as usize;
-                        cs.install_data(
-                            NodeId(self.rank as u16),
-                            ctl.region,
-                            b,
-                            data[at..at + CACHE_BLOCK].to_vec(),
-                        );
+        let (cluster, rank, t0) = (&self.cluster, self.rank, self.t0);
+        let done = self.client.complete(msg, |e| match e {
+            // Requester-side half of the lease the home granted at serve
+            // time: install the fully fetched blocks, unless an
+            // invalidation has landed since dispatch (epoch mismatch) —
+            // then the bytes may already be stale and the lease stays
+            // data-less.
+            Effect::Install(i) => {
+                let cs = cluster.cache.as_ref().expect("installs imply a cache");
+                let guard = cluster.install_guards[rank as usize].lock();
+                if *guard == i.epoch {
+                    for (b, data) in i.blocks() {
+                        cs.install_data(NodeId(rank as u16), i.region, b, data.to_vec());
                     }
                 }
             }
-        }
-        for d in ctl.dests {
-            let h = self
-                .handles
-                .get_mut(&d.handle)
-                .expect("read completion for an unknown handle");
-            let buf = h.buf.as_mut().expect("read handle without a buffer");
-            let src = (d.abs_off - ctl.offset) as usize;
-            buf[d.buf_off..d.buf_off + d.len].copy_from_slice(&data[src..src + d.len]);
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                let st = self.handles.remove(&d.handle).unwrap();
-                self.record_handle_latency(&st);
-                self.completed.insert(d.handle, st.buf);
+            Effect::Finished { is_read, issued_at } => {
+                let ns = t0.elapsed().as_nanos() as u64 - issued_at;
+                record_handle_latency(&cluster.metrics, rank, is_read, true, ns);
             }
-        }
-    }
-
-    fn complete_write(&mut self, ctl: WriteCtl) {
-        for w in ctl.writers {
-            let h = self
-                .handles
-                .get_mut(&w)
-                .expect("write completion for an unknown handle");
-            h.remaining -= 1;
-            if h.remaining == 0 {
-                let st = self.handles.remove(&w).unwrap();
-                self.record_handle_latency(&st);
-                self.completed.insert(w, None);
-            }
+        });
+        if let Ok(req) = done {
+            self.retry.remove(&req.0);
+            self.close_req_span(req.0, ctx, bytes, t_in_ns);
         }
     }
 
@@ -1769,7 +1215,7 @@ impl LiveCtx {
                 self.app_span,
                 self.rank,
                 start_ns,
-                self.cluster.now_ns(),
+                self.now_ns(),
             );
             span.seq = seq;
             self.rec.push(span);
@@ -1780,12 +1226,12 @@ impl LiveCtx {
     /// synchronization primitive fences first, so split-phase operations are
     /// always ordered before barriers, locks and atomics.
     fn gm_fence(&mut self) {
-        self.flush_staged();
-        if self.inflight.is_empty() {
+        self.flush();
+        if !self.client.has_inflight() {
             return;
         }
-        let t0 = self.cluster.now_ns();
-        while !self.inflight.is_empty() {
+        let t0 = self.now_ns();
+        while self.client.has_inflight() {
             self.drain_one();
         }
         self.push_block_span(t0, 0);
@@ -1824,6 +1270,70 @@ impl LiveCtx {
     }
 }
 
+impl LiveCtx {
+    /// One round trip to PE 0's coordinator: send a barrier entry or lock
+    /// request (`seq` = barrier id or request id), block until its release
+    /// or grant arrives, and record the wait as a trace span and as
+    /// `sync/barrier_wait_ns` or `sync/lock_wait_ns`. Completing it is an
+    /// acquire point.
+    fn coordinate(&mut self, msg: Message, seq: u64) {
+        let barrier = matches!(msg, Message::BarrierEnter { .. });
+        let (kind, metric) = match barrier {
+            true => (TraceSpanKind::BarrierWait, "barrier_wait_ns"),
+            false => (TraceSpanKind::LockWait, "lock_wait_ns"),
+        };
+        let t0 = self.now_ns();
+        let wait_span = self.rec.next_id();
+        let ctx = self.tracing().then_some(TraceCtx {
+            trace: self.trace,
+            parent: wait_span,
+        });
+        self.send_traced(0, &msg, ctx);
+        loop {
+            // Coordination traffic is never retried (it is not idempotent
+            // and the fault plan leaves control messages unharmed), so this
+            // wait may block: an abort wakes it via the forwarded frame.
+            match self.recv_app(None).unwrap() {
+                (Message::BarrierRelease { barrier: b, .. }, _) if barrier && b as u64 == seq => {
+                    break
+                }
+                (Message::LockGrant { req, .. }, _) if !barrier && req.0 == seq => break,
+                other => self.stash.push_back(other),
+            }
+        }
+        let end = self.now_ns();
+        if self.tracing() {
+            let mut s = TraceSpanRec::new(
+                kind,
+                self.trace,
+                wait_span,
+                self.app_span,
+                self.rank,
+                t0,
+                end,
+            );
+            s.peer = 0;
+            s.seq = seq;
+            self.rec.push(s);
+        }
+        self.metrics()
+            .record(MetricKey::pe("sync", metric, self.rank), end - t0);
+        self.acquire_replicas();
+    }
+}
+
+/// Record a finished handle's latency under the simulator's names:
+/// `remote_*_ns` when any segment left the node, `local_*_ns` otherwise.
+fn record_handle_latency(metrics: &Registry, pe: u32, is_read: bool, remote: bool, ns: u64) {
+    let name = match (is_read, remote) {
+        (true, true) => "remote_read_ns",
+        (true, false) => "local_read_ns",
+        (false, true) => "remote_write_ns",
+        (false, false) => "local_write_ns",
+    };
+    metrics.record(MetricKey::pe("gm", name, pe), ns);
+}
+
 impl ParallelApi for LiveCtx {
     fn rank(&self) -> u32 {
         self.rank
@@ -1853,26 +1363,21 @@ impl ParallelApi for LiveCtx {
     }
 
     fn gm_read(&mut self, region: RegionId, offset: u64, len: usize) -> Vec<u8> {
-        let h = self.issue_read(region, offset, len, true);
+        let h = self.issue(region, offset, len, None, true);
         self.gm_wait(h).expect("gm_read handle carries data")
     }
 
     fn gm_write(&mut self, region: RegionId, offset: u64, data: &[u8]) {
-        let h = self.issue_write(region, offset, data, true);
+        let h = self.issue(region, offset, data.len(), Some(data), true);
         self.gm_wait(h);
     }
 
-    fn gm_read_into(&mut self, region: RegionId, offset: u64, out: &mut [u8]) {
-        let data = self.gm_read(region, offset, out.len());
-        out.copy_from_slice(&data);
-    }
-
     fn gm_read_nb(&mut self, region: RegionId, offset: u64, len: usize) -> GmHandle {
-        self.issue_read(region, offset, len, false)
+        self.issue(region, offset, len, None, false)
     }
 
     fn gm_write_nb(&mut self, region: RegionId, offset: u64, data: &[u8]) -> GmHandle {
-        self.issue_write(region, offset, data, false)
+        self.issue(region, offset, data.len(), Some(data), false)
     }
 
     fn gm_wait(&mut self, handle: GmHandle) -> Option<Vec<u8>> {
@@ -1880,28 +1385,23 @@ impl ParallelApi for LiveCtx {
             None => return handle.into_ready(),
             Some(id) => id,
         };
-        if let Some(data) = self.completed.remove(&id) {
+        if let Some(data) = self.client.redeem(id) {
             return data;
         }
-        assert!(
-            self.handles.contains_key(&id),
-            "live rank {}: gm_wait on a stale handle (result discarded by gm_wait_all)",
-            self.rank
-        );
-        self.flush_staged();
-        if !self.completed.contains_key(&id) {
-            let t0 = self.cluster.now_ns();
-            while !self.completed.contains_key(&id) {
+        self.flush();
+        if !self.client.is_complete(id) {
+            let t0 = self.now_ns();
+            while !self.client.is_complete(id) {
                 self.drain_one();
             }
             self.push_block_span(t0, id);
         }
-        self.completed.remove(&id).unwrap()
+        self.client.redeem(id).unwrap()
     }
 
     fn gm_wait_all(&mut self) {
         self.gm_fence();
-        self.completed.clear();
+        self.client.discard_completed();
     }
 
     fn take_scratch(&mut self) -> Vec<u8> {
@@ -1919,7 +1419,12 @@ impl ParallelApi for LiveCtx {
         self.metrics()
             .incr(MetricKey::pe("kernel", "gm_ops", self.rank));
         let start = Instant::now();
-        let home = self.home_of(region, offset);
+        let home = self
+            .cluster
+            .store
+            .home_of(region, offset)
+            .unwrap_or_else(|e| panic!("live rank {}: bad GM address: {e}", self.rank))
+            .0 as u32;
         let prev = if home == self.rank {
             let prev = self
                 .cluster
@@ -1932,7 +1437,7 @@ impl ParallelApi for LiveCtx {
             if let Some(cs) = self.cluster.cache.as_ref() {
                 cs.drop_range(NodeId(self.rank as u16), region, offset, 8);
             }
-            let req = self.reqs.next();
+            let req = self.client.next_req();
             self.metrics()
                 .incr(MetricKey::pe("kernel", "gm_request_msgs", self.rank));
             let msg = Message::GmFetchAddReq {
@@ -1944,18 +1449,16 @@ impl ParallelApi for LiveCtx {
             let ctx = self.open_req_span(req, home);
             self.send_traced(home, &msg, ctx);
             self.arm_retry(req, home, msg, ctx);
-            let t_block = self.cluster.now_ns();
-            let prev = loop {
-                match self.recv_app(Some(self.retry_tick())) {
-                    None => self.service_retries(),
-                    Some((Message::GmFetchAddResp { req: r, prev }, rctx)) if r == req => {
-                        self.retry.remove(&req.0);
-                        let bytes = Message::GmFetchAddResp { req: r, prev }.wire_len() as u64;
-                        self.close_req_span(req.0, rctx, bytes, self.cluster.now_ns());
-                        break prev;
-                    }
-                    Some(other) => self.stash.push_back(other),
-                }
+            let t_block = self.now_ns();
+            let (resp, rctx) = self.recv_until(|m| match m {
+                (Message::GmFetchAddResp { req: r, .. }, _) if r == req => Ok(m),
+                other => Err(other),
+            });
+            self.retry.remove(&req.0);
+            let bytes = resp.wire_len() as u64;
+            self.close_req_span(req.0, rctx, bytes, self.now_ns());
+            let Message::GmFetchAddResp { prev, .. } = resp else {
+                unreachable!("picked a fetch-add response")
             };
             self.push_block_span(t_block, req.0);
             prev
@@ -1971,97 +1474,22 @@ impl ParallelApi for LiveCtx {
         let id = AUTO_BARRIER_BASE + self.barrier_seq;
         self.barrier_seq += 1;
         self.gm_fence();
-        let start = Instant::now();
-        let t0 = self.cluster.now_ns();
-        let wait_span = self.rec.next_id();
-        let ctx = self.tracing().then_some(TraceCtx {
-            trace: self.trace,
-            parent: wait_span,
-        });
-        self.send_traced(
-            0,
-            &Message::BarrierEnter {
-                barrier: id,
-                pid: self.pid,
-            },
-            ctx,
-        );
-        loop {
-            // Barrier traffic is never retried (it is not idempotent and
-            // the fault plan leaves control messages unharmed), so this
-            // wait may block: an abort wakes it via the forwarded frame.
-            match self.recv_app(None).unwrap() {
-                (Message::BarrierRelease { barrier, .. }, _) if barrier == id => break,
-                other => self.stash.push_back(other),
-            }
-        }
-        if self.tracing() {
-            let mut s = TraceSpanRec::new(
-                TraceSpanKind::BarrierWait,
-                self.trace,
-                wait_span,
-                self.app_span,
-                self.rank,
-                t0,
-                self.cluster.now_ns(),
-            );
-            s.peer = 0;
-            s.seq = id as u64;
-            self.rec.push(s);
-        }
-        self.metrics().record(
-            MetricKey::pe("sync", "barrier_wait_ns", self.rank),
-            start.elapsed().as_nanos() as u64,
-        );
-        // Completing a barrier is an acquire point.
-        self.acquire_replicas();
+        let msg = Message::BarrierEnter {
+            barrier: id,
+            pid: self.pid,
+        };
+        self.coordinate(msg, id as u64);
     }
 
     fn lock(&mut self, id: u32) {
         self.gm_fence();
-        let start = Instant::now();
-        let t0 = self.cluster.now_ns();
-        let req = self.reqs.next();
-        let wait_span = self.rec.next_id();
-        let ctx = self.tracing().then_some(TraceCtx {
-            trace: self.trace,
-            parent: wait_span,
-        });
-        self.send_traced(
-            0,
-            &Message::LockReq {
-                req,
-                lock: id,
-                pid: self.pid,
-            },
-            ctx,
-        );
-        loop {
-            match self.recv_app(None).unwrap() {
-                (Message::LockGrant { req: r, .. }, _) if r == req => break,
-                other => self.stash.push_back(other),
-            }
-        }
-        if self.tracing() {
-            let mut s = TraceSpanRec::new(
-                TraceSpanKind::LockWait,
-                self.trace,
-                wait_span,
-                self.app_span,
-                self.rank,
-                t0,
-                self.cluster.now_ns(),
-            );
-            s.peer = 0;
-            s.seq = req.0;
-            self.rec.push(s);
-        }
-        self.metrics().record(
-            MetricKey::pe("sync", "lock_wait_ns", self.rank),
-            start.elapsed().as_nanos() as u64,
-        );
-        // A lock grant is an acquire point.
-        self.acquire_replicas();
+        let req = self.client.next_req();
+        let msg = Message::LockReq {
+            req,
+            lock: id,
+            pid: self.pid,
+        };
+        self.coordinate(msg, req.0);
     }
 
     fn unlock(&mut self, id: u32) {
